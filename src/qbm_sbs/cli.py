@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 oracle validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys as _sys
 from pathlib import Path
@@ -150,10 +151,14 @@ def _parse_value(key: str, raw: str):
         if caster is int:
             return int(raw, 0)
         if caster is complex:
-            return complex(raw.replace(" ", ""))
-        return caster(raw)
+            value = complex(raw.replace(" ", ""))
+        else:
+            value = caster(raw)
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse {key}={raw!r}: {exc}") from exc
+    if caster in (float, complex) and not cmath.isfinite(value):
+        raise ConfigurationError(f"{key}={raw!r} is not finite")
+    return value
 
 
 def load_config(path: str | None, sets: list[str], seed: int | None, threads: int | None) -> RunConfig:

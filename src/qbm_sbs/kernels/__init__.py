@@ -1,40 +1,8 @@
-"""Backend selection for the hot amplitude-sum kernel.
+"""The hot amplitude-sum kernel: one numpy implementation, no build step."""
 
-The compiled extension is preferred; the numpy fallback is selected when the
-extension is missing or when the environment variable ``QBM_SBS_FORCE_PURE``
-is set to a non-empty value.
-"""
-
-import os
-
-from . import _reference
-
-AXIS_MOMENTUM = _reference.AXIS_MOMENTUM
-AXIS_POSITION = _reference.AXIS_POSITION
-
-if os.environ.get("QBM_SBS_FORCE_PURE"):
-    _impl = _reference
-else:
-    try:
-        from . import _core
-        _impl = _core
-    except ImportError:
-        _impl = _reference
-
-exponent_series = _impl.exponent_series
+from ._reference import AXIS_MOMENTUM, AXIS_POSITION, exponent_series
 
 
 def backend_name() -> str:
-    return "compiled" if _impl is not _reference else "pure"
-
-
-def backends() -> dict:
-    """All importable kernel implementations, for benchmarks and tests."""
-    found = {"pure": _reference}
-    try:
-        from . import _core as core_mod
-
-        found["compiled"] = core_mod
-    except ImportError:
-        pass
-    return found
+    """Kernel name recorded in CSV headers and benchmark environment lines."""
+    return "numpy"

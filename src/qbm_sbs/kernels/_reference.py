@@ -1,8 +1,12 @@
-"""Pure-numpy kernel: weighted exponent sums over the bath, chunked over time.
+"""Numpy kernel: weighted exponent sums over the bath, chunked over time.
 
-This is the fallback used when the compiled extension is unavailable (or when
-``QBM_SBS_FORCE_PURE=1``).  Results agree with the compiled kernel to
-floating-point rounding.
+The amplitudes are built in real arithmetic from one tangent per
+(time, mode) element: u = tan(omega_k t / 2) gives both sin(omega_k t) =
+2u / (1 + u^2) and 1 - cos(omega_k t) = 2u^2 / (1 + u^2).  Every term of an
+amplitude carries one of sin(omega_k t), 1 - cos(omega_k t), sin(Omega t) or
+1 - cos(Omega t), so the sums are exactly zero at t = 0.  The mode sum is a
+numpy row reduction, never a BLAS product, so a time evaluated alone gives
+the same bits as in a batch.
 """
 
 from __future__ import annotations
@@ -12,7 +16,19 @@ import numpy as np
 AXIS_MOMENTUM = 0
 AXIS_POSITION = 1
 
-_CHUNK = 8192
+# Rows per chunk: a few (rows x modes) work arrays of this height stay in
+# cache and keep the peak memory of a 100k-sample call low.
+_CHUNK = 2048
+
+
+def _half_angle(half: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sin x, 1 - cos x) for x = 2 * ``half``, written over ``spare`` and ``half``."""
+    u = np.tan(half, out=half)
+    q = np.multiply(u, u, out=spare)
+    q += 1.0
+    sin = np.divide(u, q, out=q)
+    sin *= 2.0
+    return sin, np.multiply(u, sin, out=u)
 
 
 def exponent_series(
@@ -34,20 +50,63 @@ def exponent_series(
     omega = np.asarray(omega, dtype=float)
     pref = np.asarray(pref, dtype=float)
     weight = np.asarray(weight, dtype=float)
-    ch = np.cosh(r)
+    # The momentum amplitude is alpha_k = -pref_k (plus + minus), with
+    # plus = (e^{i(w+W)t} - 1) / (w+W) and minus = (e^{i(w-W)t} - 1) / (w-W).
+    # With s = sin wt, v = 1 - cos wt, S = sin Wt, V = 1 - cos Wt, C = cos Wt:
+    #   alpha_k / pref_k = [a (C v + V) - b S s] + i [b S (1 - v) - a C s]
+    # where a = 1/(w+W) + 1/(w-W) and b = 1/(w-W) - 1/(w+W).  The position
+    # amplitude i pref_k (plus - minus) is i times the same form with a and b
+    # swapped, and that factor i flips the sign of tanh(r) in the squeeze map.
+    inv_plus = 1.0 / (omega + omega_big)
+    inv_minus = 1.0 / (omega - omega_big)
+    a = inv_plus + inv_minus
+    b = inv_minus - inv_plus
     th = np.tanh(r)
-    rot_in = np.exp(-1j * psi)
-    rot_conj = np.exp(1j * (psi + theta))
-    out = np.empty(times.shape[0])
-    for lo in range(0, times.shape[0], _CHUNK):
+    if axis != AXIS_MOMENTUM:
+        a, b, th = b, a, -th
+    # |ch (e^{-i psi} z - e^{i(psi+theta)} conj(z) th)|^2 = ch^2 |z - e^{i phi} conj(z) th|^2
+    # with phi = 2 psi + theta; for z = x + iy the second factor is x'^2 + y'^2 with
+    #   x' = (1 - th cos phi) x - th sin phi y,   y' = (1 + th cos phi) y - th sin phi x.
+    phi = 2.0 * psi + theta
+    th_cos, th_sin = th * np.cos(phi), th * np.sin(phi)
+    gain = weight * pref**2 * np.cosh(r) ** 2
+    half_omega = 0.5 * omega
+
+    n = times.shape[0]
+    out = np.empty(n)
+    shape = (min(n, _CHUNK), omega.shape[0])
+    buf_u, buf_q, buf_x, buf_y = (np.empty(shape) for _ in range(4))
+    for lo in range(0, n, _CHUNK):
         t = times[lo : lo + _CHUNK, None]
-        plus = (np.exp(1j * (omega + omega_big) * t) - 1.0) / (omega + omega_big)
-        minus = (np.exp(1j * (omega - omega_big) * t) - 1.0) / (omega - omega_big)
-        if axis == AXIS_MOMENTUM:
-            a = -pref * (plus + minus)
-        else:
-            a = 1j * pref * (plus - minus)
+        m = t.shape[0]
+        u, q, x, y = buf_u[:m], buf_q[:m], buf_x[:m], buf_y[:m]
+        big_sin, big_versin = _half_angle(0.5 * omega_big * t, np.empty_like(t))
+        big_cos = 1.0 - big_versin
+        s, v = _half_angle(np.multiply(half_omega, t, out=u), q)
+        # x = a (C v + V) - b S s
+        np.multiply(big_cos, v, out=x)
+        x += big_versin
+        x *= a
+        np.multiply(big_sin, s, out=y)
+        y *= b
+        x -= y
+        # y = b S (1 - v) - a C s
+        cos = np.subtract(1.0, v, out=v)
+        np.multiply(big_sin, cos, out=y)
+        y *= b
+        s *= big_cos
+        s *= a
+        y -= s
         if r != 0.0:
-            a = ch * (rot_in * a - rot_conj * np.conj(a) * th)
-        out[lo : lo + _CHUNK] = ((a.real**2 + a.imag**2) * weight).sum(axis=1)
+            np.multiply(x, th_sin, out=u)
+            np.multiply(y, th_sin, out=q)
+            x *= 1.0 - th_cos
+            x -= q
+            y *= 1.0 + th_cos
+            y -= u
+        x *= x
+        y *= y
+        x += y
+        x *= gain
+        out[lo : lo + m] = x.sum(axis=1)
     return out

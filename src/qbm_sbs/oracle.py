@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh, expm
 
+from .dynamics import alpha_gaussian
 from .errors import ConfigurationError, TruncationError
 
 TAIL_TOL = 1.0e-10
@@ -146,24 +147,15 @@ def gamma_fock(rho0: FockState, eta: complex) -> float:
     return float(abs(np.trace(d @ rho0.matrix)))
 
 
-def transformed_amplitude(eta: complex, r: float, theta: float, psi: float = 0.0) -> complex:
-    """Closed-form amplitude substitution for a squeezed-rotated Gaussian state."""
-    ch = math.cosh(r)
-    th = math.tanh(r)
-    return ch * (
-        np.exp(-1j * psi) * eta - np.exp(1j * (psi + theta)) * np.conj(eta) * th
-    )
-
-
 def gamma_closed(nbar: float, eta: complex, r: float = 0.0, theta: float = 0.0) -> float:
     """Closed-form single-mode decoherence factor, coth weight as 2 nbar + 1."""
-    et = transformed_amplitude(eta, r, theta)
+    et = alpha_gaussian(eta, r, theta, 0.0)
     return math.exp(-abs(et) ** 2 * (2.0 * nbar + 1.0) / 2.0)
 
 
 def b_closed(nbar: float, eta: complex, r: float = 0.0, theta: float = 0.0) -> float:
     """Closed-form single-mode generalized overlap, tanh weight as 1/(2 nbar + 1)."""
-    et = transformed_amplitude(eta, r, theta)
+    et = alpha_gaussian(eta, r, theta, 0.0)
     return math.exp(-abs(et) ** 2 / (2.0 * (2.0 * nbar + 1.0)))
 
 

@@ -123,6 +123,14 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "item", ["temperature=nan", "x_sep=inf", "t_max=inf", "displacement_gamma=1+nanj"]
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, item):
+        assert main(["--out", str(tmp_path), *FAST_TS, "--set", item, "timeseries"]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from qbm_sbs.dynamics import alpha_gaussian
 from qbm_sbs.errors import ConfigurationError, TruncationError
 from qbm_sbs.oracle import (
     FockState,
@@ -25,7 +26,6 @@ from qbm_sbs.oracle import (
     squeeze_fock,
     squeezed_vacuum_tail,
     thermal_fock,
-    transformed_amplitude,
     validate_closed_forms,
 )
 
@@ -154,14 +154,14 @@ class TestClosedForms:
 
     def test_transformed_amplitude_identity_at_zero_squeezing(self):
         eta = 0.3 + 0.9j
-        assert transformed_amplitude(eta, 0.0, 1.0) == eta
+        assert alpha_gaussian(eta, 0.0, 1.0, 0.0) == eta
 
     def test_gamma_b_duality(self):
         # Reciprocal thermal weights: ln gamma * ln b = (|eta~|^2 / 2)^2.
         nbar, eta, r, theta = 1.5, 0.8, 0.6, 1.0
         lg = math.log(gamma_closed(nbar, eta, r, theta))
         lb = math.log(b_closed(nbar, eta, r, theta))
-        e0 = abs(transformed_amplitude(eta, r, theta)) ** 2 / 2.0
+        e0 = abs(alpha_gaussian(eta, r, theta, 0.0)) ** 2 / 2.0
         assert lg * lb == pytest.approx(e0**2, rel=1e-12)
 
 

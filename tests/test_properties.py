@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qbm_sbs.dynamics import alpha_gaussian
 from qbm_sbs.model import Oscillator, coupling_constant, partition_macrofractions
 from qbm_sbs.observables import classify_regime
-from qbm_sbs.oracle import b_closed, gamma_closed, transformed_amplitude
+from qbm_sbs.oracle import b_closed, gamma_closed
 
 finite = dict(allow_nan=False, allow_infinity=False)
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, **finite)
@@ -57,7 +57,7 @@ def test_closed_forms_are_unit_interval_and_dual(nbar, eta, r, theta):
     assert 0.0 < b <= 1.0
     # The decoherence factor is never above the overlap: coth >= tanh.
     assert g <= b * (1 + 1e-12)
-    e0 = abs(transformed_amplitude(eta, r, theta)) ** 2 / 2.0
+    e0 = abs(alpha_gaussian(eta, r, theta, 0.0)) ** 2 / 2.0
     if e0 > 0.0 and g > 0.0:
         assert math.log(g) * math.log(b) == pytest.approx(e0**2, rel=1e-9)
 
