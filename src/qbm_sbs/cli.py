@@ -283,6 +283,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_oracle(config: RunConfig, out_dir: Path) -> int:
+    if config.oracle_dim < 0:
+        raise ConfigurationError(f"oracle_dim must be >= 0 (0 = automatic), got {config.oracle_dim}")
     force_dim = config.oracle_dim if config.oracle_dim > 0 else None
     report = validate_closed_forms(force_dim=force_dim)
     lines = []

@@ -9,6 +9,7 @@ fraction and one or more observed macro-fractions of equal size.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -18,6 +19,12 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 DEFAULT_RESONANCE_RATIO = 5.0
+
+
+def _require_finite(error: type[Exception], **values: complex) -> None:
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
 
 
 class SqueezeAxis(Enum):
@@ -41,6 +48,7 @@ class SystemParams:
     squeezing_axis: SqueezeAxis = SqueezeAxis.MOMENTUM
 
     def __post_init__(self):
+        _require_finite(DomainError, mass_M=self.mass_M, omega_big=self.omega_big, x_sep=self.x_sep)
         if self.mass_M <= 0:
             raise DomainError(f"mass_M must be > 0, got {self.mass_M}")
         if self.omega_big <= 0:
@@ -80,6 +88,13 @@ class EnvironmentSpec:
     seed: int
 
     def __post_init__(self):
+        _require_finite(
+            ConfigurationError,
+            omega_low=self.omega_low,
+            omega_high=self.omega_high,
+            gamma0=self.gamma0,
+            m_env=self.m_env,
+        )
         if not 0 < self.omega_low <= self.omega_high:
             raise ConfigurationError(
                 f"need 0 < omega_low <= omega_high, got [{self.omega_low}, {self.omega_high}]"
@@ -136,6 +151,14 @@ class EnvInitialState:
     displacement_gamma: complex = 0j
 
     def __post_init__(self):
+        _require_finite(
+            DomainError,
+            temperature=self.temperature,
+            squeeze_r=self.squeeze_r,
+            squeeze_theta=self.squeeze_theta,
+            rot_psi=self.rot_psi,
+            displacement_gamma=self.displacement_gamma,
+        )
         if self.temperature < 0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
         if self.squeeze_r < 0:

@@ -10,11 +10,13 @@ force.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, expm
+from scipy.linalg import eigh, eigh_tridiagonal, svdvals
 
 from .dynamics import alpha_gaussian
 from .errors import ConfigurationError, TruncationError
@@ -35,8 +37,21 @@ class FockState:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-def _ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
+def _exp_tridiagonal(z: complex, c: np.ndarray) -> np.ndarray:
+    """exp(G) for the anti-Hermitian G with G[m+1, m] = z c_m, G[m, m+1] = -z^* c_m.
+
+    With Phi = diag(e^{i m beta}) and beta = arg(i z), i G = Phi T Phi^dag for
+    the real symmetric tridiagonal T of zero diagonal and off-diagonal |z| c.
+    Hence exp(G) = Phi V exp(-i Lambda) V^T Phi^dag from the eigenpairs of T,
+    exact up to rounding and unitary by construction.  A real z gives a real
+    G, and the real part is returned.
+    """
+    z = complex(z)
+    lam, v = eigh_tridiagonal(np.zeros(len(c) + 1), abs(z) * c)
+    u = (v * np.cos(lam)) @ v.T - 1j * ((v * np.sin(lam)) @ v.T)
+    phase = np.exp(1j * cmath.phase(1j * z) * np.arange(len(c) + 1))
+    u *= np.outer(phase, phase.conj())
+    return u.real.copy() if z.imag == 0 else u
 
 
 def required_thermal_dim(nbar: float, tol: float = TAIL_TOL) -> int:
@@ -49,8 +64,8 @@ def required_thermal_dim(nbar: float, tol: float = TAIL_TOL) -> int:
     return max(1, math.ceil(math.log(tol) / math.log(q)))
 
 
-def thermal_fock(nbar: float, dim: int) -> FockState:
-    """Thermal state with mean occupation nbar; the truncated tail is not renormalized."""
+def thermal_populations(nbar: float, dim: int) -> np.ndarray:
+    """Number-state populations of a thermal state; the truncated tail is not renormalized."""
     need = required_thermal_dim(nbar)
     if dim < need:
         raise TruncationError(
@@ -62,7 +77,12 @@ def thermal_fock(nbar: float, dim: int) -> FockState:
         p[0] = 1.0
     else:
         p = np.exp(n * math.log(nbar / (nbar + 1.0)) - math.log(nbar + 1.0))
-    return FockState(dim=dim, matrix=np.diag(p).astype(complex))
+    return p
+
+
+def thermal_fock(nbar: float, dim: int) -> FockState:
+    """Thermal state with mean occupation nbar, diagonal in the number basis."""
+    return FockState(dim=dim, matrix=np.diag(thermal_populations(nbar, dim)).astype(complex))
 
 
 def required_displace_dim(eta: complex) -> int:
@@ -72,14 +92,16 @@ def required_displace_dim(eta: complex) -> int:
 
 
 def displace_fock(eta: complex, dim: int) -> np.ndarray:
-    """Displacement unitary in the truncated number basis."""
+    """Displacement unitary exp(eta a^dag - eta^* a) in the truncated number basis.
+
+    Real for real eta.
+    """
     need = required_displace_dim(eta)
     if dim < need:
         raise TruncationError(
             f"dim={dim} too small for displacement |eta|={abs(eta):g}; need dim >= {need}"
         )
-    a = _ladder(dim)
-    return expm(eta * a.conj().T - np.conj(eta) * a)
+    return _exp_tridiagonal(eta, np.sqrt(np.arange(1.0, dim)))
 
 
 def squeezed_vacuum_tail(r: float, n_keep: int) -> float:
@@ -109,7 +131,7 @@ def squeeze_fock(xi: complex, dim: int) -> np.ndarray:
 
     The sign convention is the one under which the closed-form amplitude
     substitution for Gaussian initial states reproduces this operator's
-    action; see the oracle consistency tests.
+    action; see the oracle consistency tests.  Real for real xi.
     """
     r = abs(xi)
     need = required_squeeze_dim(r)
@@ -117,28 +139,41 @@ def squeeze_fock(xi: complex, dim: int) -> np.ndarray:
         raise TruncationError(
             f"dim={dim} leaks squeezed population above dim/2 for r={r:g}; need dim >= {need}"
         )
-    a = _ladder(dim)
-    ad = a.conj().T
-    return expm((xi * (ad @ ad) - np.conj(xi) * (a @ a)) / 2.0)
+    # The generator couples n to n + 2 only, so each parity block is tridiagonal.
+    n = np.arange(dim - 2, dtype=float)
+    c = np.sqrt((n + 1.0) * (n + 2.0)) / 2.0
+    even, odd = _exp_tridiagonal(xi, c[0::2]), _exp_tridiagonal(xi, c[1::2])
+    u = np.zeros((dim, dim), dtype=even.dtype)
+    u[0::2, 0::2] = even
+    u[1::2, 1::2] = odd
+    return u
 
 
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a density matrix, rounding-level negative eigenvalues clipped to 0."""
     w, v = eigh((m + m.conj().T) / 2.0)
     if w.min() < EIG_CLAMP:
         raise TruncationError(f"matrix eigenvalue {w.min():g} below the PSD clamp {EIG_CLAMP:g}")
-    w = np.clip(w, 0.0, None)
+    return np.clip(w, 0.0, None), v
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    w, v = _psd_eigh(m)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
 def overlap_fock(rho1: FockState, rho2: FockState) -> float:
-    """Generalized overlap tr sqrt(sqrt(rho1) rho2 sqrt(rho1))."""
+    """Generalized overlap tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
+
+    Computed as the sum of the singular values of sqrt(rho1) V2 sqrt(W2), where
+    rho2 = V2 W2 V2^dag.  Rounding-level eigenvalues of rank-deficient states
+    then add to the large singular values in quadrature (about 1e-17) instead of
+    entering the trace through their square roots (about 1e-8).
+    """
     if rho1.dim != rho2.dim:
         raise ConfigurationError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    s1 = _sqrt_psd(rho1.matrix)
-    inner = s1 @ rho2.matrix @ s1
-    w = eigh((inner + inner.conj().T) / 2.0, eigvals_only=True)
-    w = np.clip(w, 0.0, None)
-    return float(np.sum(np.sqrt(w)))
+    w2, v2 = _psd_eigh(rho2.matrix)
+    return float(np.sum(svdvals((_sqrt_psd(rho1.matrix) @ v2) * np.sqrt(w2))))
 
 
 def gamma_fock(rho0: FockState, eta: complex) -> float:
@@ -147,16 +182,26 @@ def gamma_fock(rho0: FockState, eta: complex) -> float:
     return float(abs(np.trace(d @ rho0.matrix)))
 
 
+def _exp_normal(x: float) -> float:
+    """exp(x), or 0.0 where the result would be subnormal.
+
+    A subnormal float keeps fewer than 53 significant bits, so its logarithm
+    no longer returns x: exp(-736) comes back 5e-8 off in the log.
+    """
+    value = math.exp(x)
+    return value if value >= sys.float_info.min else 0.0
+
+
 def gamma_closed(nbar: float, eta: complex, r: float = 0.0, theta: float = 0.0) -> float:
     """Closed-form single-mode decoherence factor, coth weight as 2 nbar + 1."""
     et = alpha_gaussian(eta, r, theta, 0.0)
-    return math.exp(-abs(et) ** 2 * (2.0 * nbar + 1.0) / 2.0)
+    return _exp_normal(-abs(et) ** 2 * (2.0 * nbar + 1.0) / 2.0)
 
 
 def b_closed(nbar: float, eta: complex, r: float = 0.0, theta: float = 0.0) -> float:
     """Closed-form single-mode generalized overlap, tanh weight as 1/(2 nbar + 1)."""
     et = alpha_gaussian(eta, r, theta, 0.0)
-    return math.exp(-abs(et) ** 2 / (2.0 * (2.0 * nbar + 1.0)))
+    return _exp_normal(-abs(et) ** 2 / (2.0 * (2.0 * nbar + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -219,12 +264,13 @@ def auto_dim(nbar: float, eta: complex, r: float) -> int:
     return 2 * need
 
 
-def _cell_state(nbar: float, r: float, theta: float, dim: int) -> FockState:
-    rho = thermal_fock(nbar, dim)
-    if r > 0:
-        s = squeeze_fock(r * np.exp(1j * theta), dim)
-        rho = FockState(dim=dim, matrix=s @ rho.matrix @ s.conj().T)
-    return rho
+def squeeze_parameter(r: float, theta: float) -> complex | float:
+    """xi = r e^{i theta}, exactly real when theta is a multiple of pi.
+
+    ``cmath.exp(1j * math.pi)`` keeps an imaginary part of 1.2e-16, which
+    would send a real squeezing through complex arithmetic.
+    """
+    return r * math.cos(theta) if theta % math.pi == 0.0 else r * cmath.exp(1j * theta)
 
 
 def validate_closed_forms(
@@ -233,16 +279,23 @@ def validate_closed_forms(
 ) -> ValidationReport:
     """Compare closed-form Gamma and B against Fock brute force on every cell.
 
+    The initial state is rho0 = S P S^dag with P = diag(p) thermal and S the
+    squeezing unitary (S = 1 at r = 0), so sqrt(rho0) = S sqrt(P) S^dag
+    exactly.  With X = S^dag D S for the displacement D,
+    Gamma = |tr(D rho0)| = |sum_n p_n X_nn| and
+    B = tr sqrt(sqrt(rho0) D rho0 D^dag sqrt(rho0)) is the sum of the singular
+    values of sqrt(P) X sqrt(P).  Only the levels with p_n > 0 enter, which
+    leaves a single one at nbar = 0.
+
     Guard violations flag the cell (and fail the report) without aborting the
-    remaining cells.  Cells sharing an initial state reuse its square root;
-    displacement unitaries are cached by (eta, dim).
+    remaining cells.  Cells sharing an initial state share S; displacement
+    unitaries are cached by (eta, dim).
     """
     if grid is None:
         grid = default_grid()
     if len(grid) == 0:
         raise ConfigurationError("validation grid is empty")
 
-    # Group by initial state so the expensive eigendecomposition runs once.
     groups: dict[tuple[float, float, float], list[complex]] = {}
     for nbar, eta_abs, r, theta in grid:
         groups.setdefault((nbar, r, theta), []).append(complex(eta_abs))
@@ -259,11 +312,13 @@ def validate_closed_forms(
     for (nbar, r, theta), etas in groups.items():
         dim = force_dim if force_dim is not None else max(auto_dim(nbar, e, r) for e in etas)
         try:
-            rho0 = _cell_state(nbar, r, theta, dim)
-            s0 = _sqrt_psd(rho0.matrix)
+            p = thermal_populations(nbar, dim)
+            occupied = np.flatnonzero(p)
+            p = p[occupied]
+            sqrt_p = np.sqrt(p)
+            s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, occupied] if r > 0 else None
             state_err = None
         except TruncationError as exc:
-            rho0 = s0 = None
             state_err = exc
         for eta in etas:
             gc = gamma_closed(nbar, eta, r, theta)
@@ -275,10 +330,9 @@ def validate_closed_forms(
             else:
                 try:
                     d = displacement(eta, dim)
-                    gf = float(abs(np.trace(d @ rho0.matrix)))
-                    inner = s0 @ (d @ rho0.matrix @ d.conj().T) @ s0
-                    w = eigh((inner + inner.conj().T) / 2.0, eigvals_only=True)
-                    bf = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+                    x = d[np.ix_(occupied, occupied)] if s is None else s.conj().T @ d @ s
+                    gf = float(abs(np.dot(p, np.diagonal(x))))
+                    bf = float(np.sum(svdvals(sqrt_p[:, None] * x * sqrt_p)))
                     cell = ValidationCell(nbar, eta, r, theta, dim, True, gc, gf, bc, bf)
                 except TruncationError as exc:
                     cell = ValidationCell(

@@ -127,8 +127,10 @@ def time_series(
     metadata: dict | None = None,
 ) -> TimeSeries:
     """Both observables on a uniform grid including t = 0."""
-    if n_points < 2 or t_max <= 0:
-        raise ConfigurationError(f"need n_points >= 2 and t_max > 0, got {n_points}, {t_max}")
+    if n_points < 2 or not 0 < t_max < math.inf:
+        raise ConfigurationError(
+            f"need n_points >= 2 and a finite t_max > 0, got {n_points}, {t_max}"
+        )
     t = np.linspace(0.0, t_max, n_points)
     gamma = decoherence_factor(realization.traced, sys, env_state, t)
     b = overlap_macrofraction(realization.macrofractions[0], sys, env_state, t)
@@ -152,8 +154,8 @@ def time_average(
     sampler: TimeSampler,
 ) -> TimeAverageResult:
     """Estimate of (1/tau) * integral over [0, tau] of both observables."""
-    if tau <= 0:
-        raise ConfigurationError(f"tau must be > 0, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ConfigurationError(f"tau must be finite and > 0, got {tau}")
     warning = None
     if tau < TRANSIENT_PERIODS * 2.0 * math.pi / sys.omega_big:
         warning = (
@@ -208,8 +210,8 @@ def temperature_sweep(
     is overridden per grid point.
     """
     temperatures = np.asarray(temperatures, dtype=float)
-    if len(temperatures) == 0 or np.any(temperatures <= 0):
-        raise ConfigurationError("temperature grid must be non-empty and positive")
+    if len(temperatures) == 0 or not np.all((temperatures > 0) & np.isfinite(temperatures)):
+        raise ConfigurationError("temperature grid must be non-empty, finite and positive")
     if np.any(np.diff(temperatures) <= 0):
         raise ConfigurationError("temperature grid must be strictly ascending")
     if n_realizations < 1:

@@ -123,6 +123,12 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_negative_oracle_dimension_is_config_error(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path), "--set", "oracle_dim=-5", "oracle"])
+        assert code == 2
+        assert "oracle_dim must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     @pytest.mark.parametrize(
         "item", ["temperature=nan", "x_sep=inf", "t_max=inf", "displacement_gamma=1+nanj"]
     )

@@ -51,6 +51,10 @@ class TestTypes:
             SystemParams(mass_M=1, omega_big=0, x_sep=0)
         with pytest.raises(DomainError):
             SystemParams(mass_M=1, omega_big=1, x_sep=-1)
+        for field in ("mass_M", "omega_big", "x_sep"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(DomainError, match=f"{field} must be finite"):
+                    SystemParams(**{"mass_M": 1, "omega_big": 1, "x_sep": 0, field: bad})
 
     def test_oscillator_validation(self):
         with pytest.raises(DomainError):
@@ -63,6 +67,17 @@ class TestTypes:
             EnvInitialState(temperature=-1)
         with pytest.raises(DomainError):
             EnvInitialState(temperature=1, squeeze_r=-0.1)
+        bad_values = {
+            "temperature": (math.nan, math.inf),
+            "squeeze_r": (math.nan, math.inf),
+            "squeeze_theta": (math.nan, -math.inf),
+            "rot_psi": (math.nan, math.inf),
+            "displacement_gamma": (complex(1.0, math.nan), complex(math.inf, 0.0)),
+        }
+        for field, values in bad_values.items():
+            for bad in values:
+                with pytest.raises(DomainError, match=f"{field} must be finite"):
+                    EnvInitialState(**{"temperature": 1, field: bad})
 
     def test_spec_divisibility(self):
         with pytest.raises(ConfigurationError):
@@ -76,6 +91,23 @@ class TestTypes:
                 traced_size=3,
                 seed=0,
             )
+
+    @pytest.mark.parametrize("field", ["omega_low", "omega_high", "gamma0", "m_env"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spec_non_finite_rejected(self, field, bad):
+        values = dict(
+            n_total=60,
+            omega_low=3e9,
+            omega_high=6e9,
+            gamma0=GAMMA0,
+            m_env=M_ENV,
+            n_macrofractions=1,
+            traced_size=30,
+            seed=0,
+        )
+        values[field] = bad
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            EnvironmentSpec(**values)
 
 
 class TestSampling:

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qbm_sbs.dynamics import alpha_gaussian
 from qbm_sbs.errors import ConfigurationError, TruncationError
@@ -24,10 +25,19 @@ from qbm_sbs.oracle import (
     required_squeeze_dim,
     required_thermal_dim,
     squeeze_fock,
+    squeeze_parameter,
     squeezed_vacuum_tail,
     thermal_fock,
     validate_closed_forms,
 )
+
+# Both unitaries come from eigendecompositions of tridiagonal generators; the
+# dense matrix exponential of the same truncated generator is the reference.
+EXPM_TOL = 1e-11
+
+
+def _ladder(dim):
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
 
 
 class TestThermal:
@@ -76,6 +86,16 @@ class TestDisplacement:
         with pytest.raises(TruncationError):
             displace_fock(1.0, 16)
 
+    @pytest.mark.parametrize("eta", [0.3, 2.0, -1.2, 0.8 - 0.3j, 1.5j])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_matches_expm_of_truncated_generator(self, eta, extra):
+        dim = required_displace_dim(eta) + extra
+        a = _ladder(dim)
+        reference = expm(eta * a.T - np.conj(eta) * a)
+        d = displace_fock(eta, dim)
+        assert np.isrealobj(d) == (np.imag(eta) == 0)
+        np.testing.assert_allclose(d, reference, rtol=0, atol=EXPM_TOL)
+
 
 class TestSqueezing:
     def test_zero_parameter_is_identity(self):
@@ -105,6 +125,24 @@ class TestSqueezing:
     def test_undersized_dim_rejected(self):
         with pytest.raises(TruncationError):
             squeeze_fock(1.5, 16)
+
+    @pytest.mark.parametrize(
+        "xi",
+        [0.0, 0.5, squeeze_parameter(0.5, math.pi / 2), squeeze_parameter(1.0, math.pi), 0.6 - 0.4j],
+    )
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_matches_expm_of_truncated_generator(self, xi, extra):
+        dim = required_squeeze_dim(abs(xi)) + extra
+        a = _ladder(dim)
+        reference = expm((xi * (a.T @ a.T) - np.conj(xi) * (a @ a)) / 2.0)
+        s = squeeze_fock(xi, dim)
+        assert np.isrealobj(s) == (np.imag(xi) == 0)
+        np.testing.assert_allclose(s, reference, rtol=0, atol=EXPM_TOL)
+
+    def test_real_parameter_on_both_real_axis_directions(self):
+        assert squeeze_parameter(0.5, 0.0) == 0.5
+        assert squeeze_parameter(0.5, math.pi) == -0.5
+        assert squeeze_parameter(0.5, math.pi / 2) == pytest.approx(0.5j, abs=1e-16)
 
 
 class TestOverlap:
@@ -182,6 +220,25 @@ class TestValidationHarness:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             validate_closed_forms(grid=[])
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "r, theta", [(0.0, 0.0), (0.5, 0.0), (0.5, math.pi / 2), (0.5, math.pi)]
+    )
+    def test_matches_dense_density_matrices(self, nbar, r, theta):
+        # Reference: rho0 built as a dense matrix, Gamma from gamma_fock and B
+        # from overlap_fock(rho0, D rho0 D^dag).
+        eta = 0.7
+        (cell,) = validate_closed_forms(grid=[(nbar, eta, r, theta)]).cells
+        dim = cell.dim
+        rho = thermal_fock(nbar, dim)
+        if r > 0:
+            s = squeeze_fock(r * np.exp(1j * theta), dim)
+            rho = FockState(dim=dim, matrix=s @ rho.matrix @ s.conj().T)
+        d = displace_fock(eta, dim)
+        displaced = FockState(dim=dim, matrix=d @ rho.matrix @ d.conj().T)
+        assert cell.gamma_fock == pytest.approx(gamma_fock(rho, eta), abs=1e-12)
+        assert cell.b_fock == pytest.approx(overlap_fock(rho, displaced), abs=1e-12)
 
     def test_auto_dim_covers_guards(self):
         for nbar, eta, r in [(0.0, 0.3, 0.0), (2.0, 2.0, 1.0)]:

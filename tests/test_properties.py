@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbm_sbs.dynamics import alpha_gaussian
@@ -50,6 +50,7 @@ def test_gaussian_transform_modulus_bounds(alpha, r, theta, psi):
     r=small_r,
     theta=angles,
 )
+@example(nbar=0.375, eta=5j, r=1.7578125, theta=0.0)  # Gamma ~ exp(-736) would be subnormal
 def test_closed_forms_are_unit_interval_and_dual(nbar, eta, r, theta):
     g = gamma_closed(nbar, eta, r, theta)
     b = b_closed(nbar, eta, r, theta)

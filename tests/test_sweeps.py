@@ -65,6 +65,9 @@ class TestTimeSeries:
             time_series(small_realization, system, thermal_state, 0.0, 10)
         with pytest.raises(ConfigurationError):
             time_series(small_realization, system, thermal_state, 1e-8, 1)
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                time_series(small_realization, system, thermal_state, t_max, 10)
 
 
 class TestTimeAverage:
@@ -90,10 +93,11 @@ class TestTimeAverage:
         assert a == b
 
     def test_nonpositive_tau_rejected(self, system, small_realization, thermal_state):
-        with pytest.raises(ConfigurationError):
-            time_average(
-                small_realization, system, thermal_state, 0.0, TimeSampler(kind="grid", n=4)
-            )
+        for tau in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                time_average(
+                    small_realization, system, thermal_state, tau, TimeSampler(kind="grid", n=4)
+                )
 
 
 class TestTemperatureSweep:
@@ -133,7 +137,14 @@ class TestTemperatureSweep:
 
     def test_invalid_grids(self, system, thermal_state):
         spec = make_spec(**SMALL)
-        for bad in (np.array([]), np.array([2.0, 1.0]), np.array([-1.0, 1.0])):
+        bad_grids = (
+            np.array([]),
+            np.array([2.0, 1.0]),
+            np.array([-1.0, 1.0]),
+            np.array([1.0, np.inf]),
+            np.array([np.nan, 1.0]),
+        )
+        for bad in bad_grids:
             with pytest.raises(ConfigurationError):
                 temperature_sweep(
                     spec, system, thermal_state, bad, 1, 1e-5, 10, master_seed=0
