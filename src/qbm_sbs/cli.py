@@ -16,6 +16,7 @@ import argparse
 import cmath
 import math
 import sys as _sys
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .errors import ConfigurationError, DomainError, QbmSbsError
 from .model import EnvInitialState, EnvironmentSpec, SqueezeAxis, SystemParams
 from .oracle import validate_closed_forms
 from .sweeps import (
-    TimeSampler,
     _cell_seeds,
     position_squeezing_comparison,
     sample_environment,
@@ -88,14 +88,12 @@ class RunConfig:
             raise AttributeError(key)
 
     def system(self) -> SystemParams:
-        axis = {
-            "momentum": SqueezeAxis.MOMENTUM,
-            "position": SqueezeAxis.POSITION,
-        }.get(self.values["squeezing_axis"])
-        if axis is None:
+        try:
+            axis = SqueezeAxis(self.values["squeezing_axis"])
+        except ValueError:
             raise ConfigurationError(
                 f"squeezing_axis must be 'momentum' or 'position', got {self.values['squeezing_axis']!r}"
-            )
+            ) from None
         return SystemParams(
             mass_M=self.values["mass_M"],
             omega_big=self.values["omega_big"],
@@ -144,60 +142,72 @@ class RunConfig:
 
 
 def _parse_value(key: str, raw: str):
+    """Parse one value by its schema type: finite numbers and integers >= 0 only."""
     if key not in _SCHEMA:
         raise ConfigurationError(f"unknown configuration key {key!r}")
     caster, _ = _SCHEMA[key]
     try:
         if caster is int:
-            return int(raw, 0)
-        if caster is complex:
+            value = int(raw, 0)
+        elif caster is complex:
             value = complex(raw.replace(" ", ""))
         else:
             value = caster(raw)
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse {key}={raw!r}: {exc}") from exc
+    if caster is int and value < 0:
+        raise ConfigurationError(f"{key} must be >= 0, got {value}")
     if caster in (float, complex) and not cmath.isfinite(value):
         raise ConfigurationError(f"{key}={raw!r} is not finite")
     return value
 
 
 def load_config(path: str | None, sets: list[str], seed: int | None, threads: int | None) -> RunConfig:
-    values = {k: d for k, (_, d) in _SCHEMA.items()}
-    provided: set[str] = set()
+    """Defaults, then the file's lines, then ``--set`` items, then the flags, each as key=value."""
+    items: list[tuple[str, str]] = []  # (origin for error messages, key=value)
     if path is not None:
         p = Path(path)
         if not p.is_file():
             raise ConfigurationError(f"config file not found: {path}")
         for lineno, line in enumerate(p.read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = _parse_value(key, raw)
-            provided.add(key)
-    for item in sets:
-        if "=" not in item:
-            raise ConfigurationError(f"--set expects key=value, got {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        values[key] = _parse_value(key, raw)
-        provided.add(key)
-    if seed is not None:
-        values["seed"] = seed
-        provided.add("seed")
-    if threads is not None:
-        values["threads"] = threads
-        provided.add("threads")
-    return RunConfig(values, provided)
+            if line:
+                items.append((f"{path}:{lineno}", line))
+    items += [("--set", item) for item in sets]
+    for key, flag in (("seed", seed), ("threads", threads)):
+        if flag is not None:
+            items.append((f"--{key}", f"{key}={flag}"))
+    parsed = {}
+    for origin, item in items:
+        key, eq, raw = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ConfigurationError(f"{origin}: expected key=value, got {item!r}")
+        parsed[key] = _parse_value(key, raw)
+    return RunConfig({k: d for k, (_, d) in _SCHEMA.items()} | parsed, set(parsed))
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    """The one formatter of CSV cells and header values; floats round-trip via repr."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, complex):
         return f"{value.real!r}{value.imag:+}j"
     return str(value)
+
+
+def _table(records, *columns: str) -> dict[str, list]:
+    """CSV table from result dataclasses: column name -> one value per record.
+
+    Each column names a field, or reads ``"column=field"`` where the CSV name
+    differs from the field's.
+    """
+    table = {}
+    for column in columns:
+        name, _, field = column.partition("=")
+        table[name] = [getattr(r, field or name) for r in records]
+    return table
 
 
 def _header_lines(config: RunConfig, command: str) -> list[str]:
@@ -212,15 +222,16 @@ def _header_lines(config: RunConfig, command: str) -> list[str]:
     return lines
 
 
-def _write_output(out_dir: Path, name: str, config: RunConfig, command: str, rows: list[str], csv_header: str):
+def _write_output(out_dir: Path, name: str, config: RunConfig, command: str, table: dict) -> None:
+    """Write ``<name>.csv`` (config header, column row, data rows) and its ``.meta.txt``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{name}.csv"
-    meta_path = out_dir / f"{name}.meta.txt"
     header = _header_lines(config, command)
-    csv_path.write_text("\n".join(header + [csv_header] + rows) + "\n")
-    meta = [line[2:] if line.startswith("# ") else line for line in header]
-    meta_path.write_text("\n".join(meta) + "\n")
-    return csv_path
+    rows = [",".join(map(_fmt, row)) for row in zip(*table.values())]
+    csv_path = out_dir / f"{name}.csv"
+    csv_path.write_text("\n".join(header + [",".join(table)] + rows) + "\n")
+    meta = [line.removeprefix("# ") for line in header]
+    (out_dir / f"{name}.meta.txt").write_text("\n".join(meta) + "\n")
+    print(f"wrote {csv_path}")
 
 
 def cmd_timeseries(config: RunConfig, out_dir: Path) -> int:
@@ -230,20 +241,15 @@ def cmd_timeseries(config: RunConfig, out_dir: Path) -> int:
     series = time_series(
         realization, sys_params, config.env_state(), config.t_max, config.n_points
     )
-    rows = [
-        f"{_fmt(float(t))},{_fmt(float(g))},{_fmt(float(b))}"
-        for t, g, b in zip(series.times, series.gamma, series.b)
-    ]
-    path = _write_output(out_dir, "timeseries", config, "timeseries", rows, "t_seconds,gamma_abs,b_mac")
-    print(f"wrote {path}")
+    table = {"t_seconds": series.times, "gamma_abs": series.gamma, "b_mac": series.b}
+    _write_output(out_dir, "timeseries", config, "timeseries", table)
     return EXIT_OK
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
-    sys_params = config.system()
     rows = temperature_sweep(
         config.environment_spec(),
-        sys_params,
+        config.system(),
         config.env_state(),
         config.temperature_grid(),
         n_realizations=config.n_realizations,
@@ -255,68 +261,22 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
         eps_hi=config.eps_hi,
         threads=config.threads,
     )
-    lines = [
-        ",".join(
-            [
-                _fmt(r.temperature),
-                _fmt(r.gamma_avg),
-                _fmt(r.gamma_stderr),
-                _fmt(r.b_avg),
-                _fmt(r.b_stderr),
-                r.regime.value,
-                str(r.n_time_samples),
-                _fmt(r.tau),
-            ]
-        )
-        for r in rows
-    ]
-    path = _write_output(
-        out_dir,
-        "sweep",
-        config,
-        "sweep",
-        lines,
-        "T_kelvin,gamma_avg,gamma_stderr,b_avg,b_stderr,regime,n_samples,tau_seconds",
+    table = _table(
+        rows, "T_kelvin=temperature", "gamma_avg", "gamma_stderr", "b_avg", "b_stderr",
+        "regime", "n_samples=n_time_samples", "tau_seconds=tau",
     )
-    print(f"wrote {path}")
+    _write_output(out_dir, "sweep", config, "sweep", table)
     return EXIT_OK
 
 
 def cmd_oracle(config: RunConfig, out_dir: Path) -> int:
-    if config.oracle_dim < 0:
-        raise ConfigurationError(f"oracle_dim must be >= 0 (0 = automatic), got {config.oracle_dim}")
-    force_dim = config.oracle_dim if config.oracle_dim > 0 else None
-    report = validate_closed_forms(force_dim=force_dim)
-    lines = []
-    for c in report.cells:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(c.nbar),
-                    _fmt(abs(c.eta)),
-                    _fmt(c.r),
-                    _fmt(c.theta),
-                    str(c.dim),
-                    str(c.guard_ok),
-                    _fmt(c.gamma_closed),
-                    _fmt(c.gamma_fock),
-                    _fmt(c.gamma_dev),
-                    _fmt(c.b_closed),
-                    _fmt(c.b_fock),
-                    _fmt(c.b_dev),
-                    str(c.ok),
-                ]
-            )
-        )
-    path = _write_output(
-        out_dir,
-        "oracle",
-        config,
-        "oracle",
-        lines,
-        "nbar,abs_eta,r,theta,dim,guard_ok,gamma_closed,gamma_fock,gamma_dev,b_closed,b_fock,b_dev,ok",
+    report = validate_closed_forms(force_dim=config.oracle_dim or None)
+    table = _table(
+        report.cells, "nbar", "abs_eta=eta", "r", "theta", "dim", "guard_ok",
+        "gamma_closed", "gamma_fock", "gamma_dev", "b_closed", "b_fock", "b_dev", "ok",
     )
-    print(f"wrote {path}")
+    table["abs_eta"] = [abs(eta) for eta in table["abs_eta"]]
+    _write_output(out_dir, "oracle", config, "oracle", table)
     print(
         f"{len(report.cells)} cells, max |dGamma| = {report.max_gamma_dev:.3g}, "
         f"max |dB| = {report.max_b_dev:.3g}: {'PASS' if report.passed else 'FAIL'}"
@@ -337,10 +297,9 @@ def cmd_compare_squeezing(config: RunConfig, out_dir: Path) -> int:
         raise ConfigurationError(
             "compare-squeezing always runs both axes; do not set squeezing_axis"
         )
-    sys_params = config.system()
     cmp = position_squeezing_comparison(
         config.environment_spec(),
-        sys_params,
+        config.system(),
         config.env_state(),
         tau=config.tau,
         n_time_samples=config.n_time_samples,
@@ -351,45 +310,29 @@ def cmd_compare_squeezing(config: RunConfig, out_dir: Path) -> int:
         sampler_kind=config.time_sampler,
     )
     sp, sm = cmp.series_position, cmp.series_momentum
-    series_rows = [
-        ",".join(_fmt(float(x)) for x in vals)
-        for vals in zip(sp.times, sp.gamma, sp.b, sm.gamma, sm.b)
-    ]
-    _write_output(
-        out_dir,
-        "compare_timeseries",
-        config,
-        "compare-squeezing",
-        series_rows,
-        "t_seconds,gamma_position,b_position,gamma_momentum,b_momentum",
+    series = {
+        "t_seconds": sp.times, "gamma_position": sp.gamma, "b_position": sp.b,
+        "gamma_momentum": sm.gamma, "b_momentum": sm.b,
+    }
+    _write_output(out_dir, "compare_timeseries", config, "compare-squeezing", series)
+    report = _table(
+        cmp.rows, "realization=realization_index", "gamma_avg_position", "gamma_avg_momentum",
+        "ratio", "revival_position", "revival_momentum",
     )
-    report_rows = [
-        ",".join(
-            [
-                str(r.realization_index),
-                _fmt(r.gamma_avg_position),
-                _fmt(r.gamma_avg_momentum),
-                _fmt(r.ratio),
-                _fmt(r.revival_position),
-                _fmt(r.revival_momentum),
-            ]
-        )
-        for r in cmp.rows
-    ]
-    path = _write_output(
-        out_dir,
-        "compare_report",
-        config,
-        "compare-squeezing",
-        report_rows,
-        "realization,gamma_avg_position,gamma_avg_momentum,ratio,revival_position,revival_momentum",
-    )
-    print(f"wrote {path}")
+    _write_output(out_dir, "compare_report", config, "compare-squeezing", report)
     print(
         f"revival window [{cmp.revival_window[0]:.3g}, {cmp.revival_window[1]:.3g}] s, "
         f"mean revival(position) = {cmp.mean_revival_position:.4f}, mean ratio = {cmp.mean_ratio:.3g}"
     )
     return EXIT_OK
+
+
+_COMMANDS = {
+    "timeseries": cmd_timeseries,
+    "sweep": cmd_sweep,
+    "oracle": cmd_oracle,
+    "compare-squeezing": cmd_compare_squeezing,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,22 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a configuration key (repeatable)",
     )
-    parser.add_argument("--seed", type=int, help="master seed override")
+    parser.add_argument("--seed", type=int, help="master seed override (same as --set seed=)")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
-    parser.add_argument("--threads", type=int, help="worker thread cap")
-    parser.add_argument(
-        "command",
-        choices=["timeseries", "sweep", "oracle", "compare-squeezing"],
-    )
+    parser.add_argument("--threads", type=int, help="worker thread cap (same as --set threads=)")
+    parser.add_argument("command", choices=list(_COMMANDS))
     return parser
-
-
-_COMMANDS = {
-    "timeseries": cmd_timeseries,
-    "sweep": cmd_sweep,
-    "oracle": cmd_oracle,
-    "compare-squeezing": cmd_compare_squeezing,
-}
 
 
 def main(argv: list[str] | None = None) -> int:

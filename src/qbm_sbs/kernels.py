@@ -1,4 +1,5 @@
-"""Numpy kernel: weighted exponent sums over the bath, chunked over time.
+"""The hot amplitude-sum kernel: weighted exponent sums over the bath, chunked
+over time, in one numpy implementation with no build step.
 
 The amplitudes are built in real arithmetic from one tangent per
 (time, mode) element: u = tan(omega_k t / 2) gives both sin(omega_k t) =
@@ -19,6 +20,11 @@ AXIS_POSITION = 1
 # Rows per chunk: a few (rows x modes) work arrays of this height stay in
 # cache and keep the peak memory of a 100k-sample call low.
 _CHUNK = 2048
+
+
+def backend_name() -> str:
+    """Kernel name recorded in CSV headers and benchmark environment lines."""
+    return "numpy"
 
 
 def _half_angle(half: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

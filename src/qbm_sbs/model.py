@@ -163,6 +163,12 @@ class EnvInitialState:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
         if self.squeeze_r < 0:
             raise DomainError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
+        # The kernel scales every mode by cosh(r)^2; an infinite gain times the
+        # zero amplitude at t = 0 would give NaN instead of an error.
+        with np.errstate(over="ignore"):
+            gain = np.cosh(self.squeeze_r) ** 2
+        if not np.isfinite(gain):
+            raise DomainError(f"cosh(squeeze_r)**2 is not finite for squeeze_r={self.squeeze_r}")
 
 
 def coupling_constant(mass_M: float, m_k: float, gamma0: float) -> float:

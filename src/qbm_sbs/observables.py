@@ -83,7 +83,15 @@ def _exponent_sum(
         env_state.squeeze_theta,
         env_state.rot_psi,
     )
-    return sys.x_sep**2 / (2.0 * HBAR) * sums
+    # A numpy square overflows to inf where a Python float one raises; an
+    # overflowed gain or phase then gives inf * 0 = NaN, at t = 0 first.
+    ex = np.float64(sys.x_sep) ** 2 / (2.0 * HBAR) * sums
+    if np.isnan(ex).any():
+        raise DomainError(
+            "exponent sum is NaN: a per-mode gain (x_sep, masses, coupling, "
+            "temperature, squeeze_r) or a phase (t) overflowed"
+        )
+    return ex
 
 
 def decoherence_factor(

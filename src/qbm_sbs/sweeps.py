@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class TimeSeries:
     times: np.ndarray
     gamma: np.ndarray
     b: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,6 @@ def time_series(
     env_state: EnvInitialState,
     t_max: float,
     n_points: int,
-    metadata: dict | None = None,
 ) -> TimeSeries:
     """Both observables on a uniform grid including t = 0."""
     if n_points < 2 or not 0 < t_max < math.inf:
@@ -134,11 +132,7 @@ def time_series(
     t = np.linspace(0.0, t_max, n_points)
     gamma = decoherence_factor(realization.traced, sys, env_state, t)
     b = overlap_macrofraction(realization.macrofractions[0], sys, env_state, t)
-    md = dict(metadata or {})
-    md.setdefault("temperature", env_state.temperature)
-    md.setdefault("traced_size", len(realization.traced))
-    md.setdefault("macrofraction_size", len(realization.macrofractions[0]))
-    return TimeSeries(times=t, gamma=gamma, b=b, metadata=md)
+    return TimeSeries(times=t, gamma=gamma, b=b)
 
 
 def _drift_converged(full: float, half: float) -> tuple[float, bool]:
@@ -216,6 +210,8 @@ def temperature_sweep(
         raise ConfigurationError("temperature grid must be strictly ascending")
     if n_realizations < 1:
         raise ConfigurationError(f"n_realizations must be >= 1, got {n_realizations}")
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
 
     def run_cell(args):
         ti, ri = args
@@ -226,8 +222,9 @@ def temperature_sweep(
         return time_average(realization, sys, state, tau, sampler)
 
     cells = [(ti, ri) for ti in range(len(temperatures)) for ri in range(n_realizations)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(cells))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(run_cell, cells))
     else:
         flat = [run_cell(c) for c in cells]

@@ -1,7 +1,11 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbm_sbs.cli import load_config, main
+from qbm_sbs.cli import _SCHEMA, load_config, main
 from qbm_sbs.errors import ConfigurationError
 
 FAST_TS = [
@@ -17,6 +21,13 @@ FAST_SWEEP = [
     "--set", "n_time_samples=300",
     "--set", "traced_size=4",
     "--set", "macrofraction_size=4",
+]
+FAST_CMP = [
+    "--set", "n_points=64",
+    "--set", "traced_size=4",
+    "--set", "macrofraction_size=4",
+    "--set", "n_realizations=2",
+    "--set", "n_time_samples=300",
 ]
 
 
@@ -67,13 +78,6 @@ class TestTimeseriesCommand:
         assert rows[1] == "0.0,1.0,1.0"
         assert len(rows) == 1 + 50
 
-    def test_reruns_are_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["--out", str(a), *FAST_TS, "timeseries"]) == 0
-        assert main(["--out", str(b), *FAST_TS, "timeseries"]) == 0
-        assert (a / "timeseries.csv").read_bytes() == (b / "timeseries.csv").read_bytes()
-        assert (a / "timeseries.meta.txt").read_bytes() == (b / "timeseries.meta.txt").read_bytes()
-
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["--out", str(a), "--seed", "1", *FAST_TS, "timeseries"])
@@ -122,6 +126,10 @@ class TestExitCodes:
         code = main(["--out", str(tmp_path), "--set", "oracle_dim=8", "oracle"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+        assert read_data_rows(tmp_path / "oracle.csv")[0] == (
+            "nbar,abs_eta,r,theta,dim,guard_ok,gamma_closed,gamma_fock,gamma_dev,"
+            "b_closed,b_fock,b_dev,ok"
+        )
 
     def test_negative_oracle_dimension_is_config_error(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "--set", "oracle_dim=-5", "oracle"])
@@ -130,11 +138,35 @@ class TestExitCodes:
         assert list(tmp_path.rglob("*.csv")) == []
 
     @pytest.mark.parametrize(
-        "item", ["temperature=nan", "x_sep=inf", "t_max=inf", "displacement_gamma=1+nanj"]
+        "args",
+        [["--seed", "-1"], ["--set", "seed=-1"], ["--set", "threads=-5"]],
+        ids=["--seed -1", "seed=-1", "threads=-5"],
+    )
+    def test_negative_integer_is_config_error(self, tmp_path, capsys, args):
+        assert main(["--out", str(tmp_path), *FAST_TS, *args, "timeseries"]) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_zero_threads_is_config_error(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), *FAST_SWEEP, "--set", "threads=0", "sweep"]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize(
+        "item",
+        ["temperature=nan", "x_sep=inf", "t_max=inf", "displacement_gamma=1+nanj", "squeeze_r=400"],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, item):
         assert main(["--out", str(tmp_path), *FAST_TS, "--set", item, "timeseries"]) == 2
         assert "not finite" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize(
+        "item", ["squeeze_r=353", "temperature=1e308", "x_sep=1e200", "t_max=1e300"]
+    )
+    def test_overflowing_exponent_is_config_error(self, tmp_path, capsys, item):
+        assert main(["--out", str(tmp_path), *FAST_TS, "--set", item, "timeseries"]) == 2
+        assert "exponent sum is NaN" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
     def test_unwritable_output_is_io_error(self, tmp_path):
@@ -150,7 +182,7 @@ class TestSweepCommand:
         assert main(["--out", str(out), *FAST_SWEEP, "sweep"]) == 0
         rows = read_data_rows(out / "sweep.csv")
         header, data = rows[0], rows[1:]
-        assert header.startswith("T_kelvin,gamma_avg,")
+        assert header == "T_kelvin,gamma_avg,gamma_stderr,b_avg,b_stderr,regime,n_samples,tau_seconds"
         assert len(data) == 2
         temps = [float(r.split(",")[0]) for r in data]
         assert temps == [1e-3, 1e-1]
@@ -161,20 +193,41 @@ class TestSweepCommand:
 class TestCompareSqueezingCommand:
     def test_outputs_both_files(self, tmp_path):
         out = tmp_path / "out"
-        code = main(
-            [
-                "--out", str(out),
-                "--set", "n_points=64",
-                "--set", "traced_size=4",
-                "--set", "macrofraction_size=4",
-                "--set", "n_realizations=2",
-                "--set", "n_time_samples=300",
-                "compare-squeezing",
-            ]
-        )
-        assert code == 0
+        assert main(["--out", str(out), *FAST_CMP, "compare-squeezing"]) == 0
         series = read_data_rows(out / "compare_timeseries.csv")
         report = read_data_rows(out / "compare_report.csv")
         assert series[0] == "t_seconds,gamma_position,b_position,gamma_momentum,b_momentum"
         assert series[1].startswith("0.0,1.0,1.0,1.0,1.0")
+        assert report[0] == (
+            "realization,gamma_avg_position,gamma_avg_momentum,ratio,revival_position,revival_momentum"
+        )
         assert len(report) == 1 + 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[*FAST_TS, "timeseries"], [*FAST_SWEEP, "sweep"], [*FAST_CMP, "compare-squeezing"]],
+    ids=["timeseries", "sweep", "compare-squeezing"],
+)
+def test_reruns_are_byte_identical(tmp_path, args):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--out", str(a), *args]) == 0
+    assert main(["--out", str(b), *args]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert any(n.endswith(".csv") for n in names) and any(n.endswith(".meta.txt") for n in names)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# Numbers come only from the bounded integers, so that no size key allocates
+# much memory: int() parses any Unicode decimal digit (category Nd), and text
+# such as "traced_size=٩٩٩٩٩٩" builds a million oscillators.
+_NO_DIGITS = st.text(st.characters(exclude_categories=("Nd",)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(_SCHEMA)), raw=_NO_DIGITS | st.integers(-1000, 1000).map(str))
+def test_any_set_value_exits_cleanly(key, raw):
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["--out", out, *FAST_TS, "--set", f"{key}={raw}", "timeseries"]) in (0, 2)

@@ -67,6 +67,8 @@ class TestTypes:
             EnvInitialState(temperature=-1)
         with pytest.raises(DomainError):
             EnvInitialState(temperature=1, squeeze_r=-0.1)
+        with pytest.raises(DomainError, match="cosh"):
+            EnvInitialState(temperature=1, squeeze_r=400)
         bad_values = {
             "temperature": (math.nan, math.inf),
             "squeeze_r": (math.nan, math.inf),

@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from qbm_sbs import sweeps
 from qbm_sbs.errors import ConfigurationError
 from qbm_sbs.model import EnvInitialState, SystemParams, sample_environment
 from qbm_sbs.sweeps import (
@@ -54,11 +56,6 @@ class TestTimeSeries:
         assert s.gamma[0] == 1.0
         assert s.b[0] == 1.0
         assert len(s.times) == len(s.gamma) == len(s.b) == 64
-
-    def test_metadata_defaults(self, system, small_realization, thermal_state):
-        s = time_series(small_realization, system, thermal_state, 1e-8, 8)
-        assert s.metadata["temperature"] == thermal_state.temperature
-        assert s.metadata["traced_size"] == 4
 
     def test_invalid_grid(self, system, small_realization, thermal_state):
         with pytest.raises(ConfigurationError):
@@ -124,6 +121,21 @@ class TestTemperatureSweep:
 
     def test_threads_do_not_change_results(self, system):
         assert self.run(system, threads=1) == self.run(system, threads=4)
+
+    def test_zero_threads_rejected(self, system):
+        with pytest.raises(ConfigurationError, match="threads must be >= 1"):
+            self.run(system, threads=0)
+
+    def test_pool_never_exceeds_cells(self, system, monkeypatch):
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(sweeps, "ThreadPoolExecutor", pool)
+        assert self.run(system, threads=12) == self.run(system, threads=1)
+        assert sizes == [len(self.TEMPS) * 3]
 
     def test_seed_changes_results(self, system):
         a = self.run(system, seed=77)
