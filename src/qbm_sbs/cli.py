@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 oracle validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys as _sys
 from enum import Enum
@@ -56,7 +55,6 @@ _SCHEMA: dict[str, tuple] = {
     "squeeze_r": (float, 0.0),
     "squeeze_theta": (float, 0.0),
     "rot_psi": (float, 0.0),
-    "displacement_gamma": (complex, 0j),
     "seed": (int, 20260823),
     "threads": (int, 1),
     "t_max": (float, 2.2e-8),
@@ -104,7 +102,7 @@ class RunConfig:
     def environment_spec(self, seed: int = 0) -> EnvironmentSpec:
         v = self.values
         return EnvironmentSpec(
-            n_total=v["traced_size"] + v["macrofraction_size"] * v["n_macrofractions"],
+            macrofraction_size=v["macrofraction_size"],
             omega_low=v["omega_low"],
             omega_high=v["omega_high"],
             gamma0=v["gamma0"],
@@ -116,18 +114,11 @@ class RunConfig:
 
     def env_state(self) -> EnvInitialState:
         v = self.values
-        if v["displacement_gamma"] != 0:
-            print(
-                "warning: displacement_gamma is recorded but ignored; it only "
-                "contributes phases removed by the modulus",
-                file=_sys.stderr,
-            )
         return EnvInitialState(
             temperature=v["temperature"],
             squeeze_r=v["squeeze_r"],
             squeeze_theta=v["squeeze_theta"],
             rot_psi=v["rot_psi"],
-            displacement_gamma=v["displacement_gamma"],
         )
 
     def temperature_grid(self) -> np.ndarray:
@@ -142,22 +133,20 @@ class RunConfig:
 
 
 def _parse_value(key: str, raw: str):
-    """Parse one value by its schema type: finite numbers and integers >= 0 only."""
+    """Parse one ASCII value by its schema type: finite floats and integers >= 0 only."""
     if key not in _SCHEMA:
         raise ConfigurationError(f"unknown configuration key {key!r}")
     caster, _ = _SCHEMA[key]
+    # int() and float() also read non-ASCII digits (Unicode category Nd).
+    if not raw.isascii():
+        raise ConfigurationError(f"{key}={raw!r} is not ASCII")
     try:
-        if caster is int:
-            value = int(raw, 0)
-        elif caster is complex:
-            value = complex(raw.replace(" ", ""))
-        else:
-            value = caster(raw)
+        value = int(raw, 0) if caster is int else caster(raw)
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse {key}={raw!r}: {exc}") from exc
     if caster is int and value < 0:
         raise ConfigurationError(f"{key} must be >= 0, got {value}")
-    if caster in (float, complex) and not cmath.isfinite(value):
+    if caster is float and not math.isfinite(value):
         raise ConfigurationError(f"{key}={raw!r} is not finite")
     return value
 
@@ -192,8 +181,6 @@ def _fmt(value) -> str:
         return value.value
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, complex):
-        return f"{value.real!r}{value.imag:+}j"
     return str(value)
 
 
@@ -370,6 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("configuration error: out of memory; reduce the size keys", file=_sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,17 +1,17 @@
-"""Domain types, disorder sampling and macro-fraction partitioning.
+"""Domain types and disorder sampling.
 
 The central system is a harmonic oscillator of mass ``mass_M`` and angular
 frequency ``omega_big``, linearly coupled to a bath of oscillators whose
 frequencies are drawn i.i.d. uniformly from a band that must be off-resonant
-with the central frequency.  The bath is split into one unobserved (traced)
-fraction and one or more observed macro-fractions of equal size.
+with the central frequency.  The sampled bath is stored as arrays and sliced
+into one unobserved (traced) fraction and one or more observed macro-fractions
+of equal size.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,9 +21,9 @@ from .errors import ConfigurationError, DomainError
 DEFAULT_RESONANCE_RATIO = 5.0
 
 
-def _require_finite(error: type[Exception], **values: complex) -> None:
+def _require_finite(error: type[Exception], **values: float) -> None:
     for name, value in values.items():
-        if not cmath.isfinite(value):
+        if not math.isfinite(value):
             raise error(f"{name} must be finite, got {value}")
 
 
@@ -74,11 +74,27 @@ class Oscillator:
             raise DomainError(f"coupling must be finite, got {self.coupling}")
 
 
+@dataclass(frozen=True, eq=False)
+class Modes:
+    """Bath modes as arrays: frequencies and prefactors C_k / (2 sqrt(2 m_k omega_k))."""
+
+    omega: np.ndarray  # rad/s
+    pref: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.omega)
+
+    def __getitem__(self, index: slice) -> Modes:
+        if not isinstance(index, slice):
+            raise TypeError(f"Modes takes slices only, got {type(index).__name__}")
+        return Modes(self.omega[index], self.pref[index])
+
+
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """Disorder distribution and partition layout of the bath."""
 
-    n_total: int
+    macrofraction_size: int
     omega_low: float  # rad/s
     omega_high: float  # rad/s
     gamma0: float  # s^-4, coupling scale
@@ -103,52 +119,34 @@ class EnvironmentSpec:
             raise ConfigurationError(f"gamma0 must be > 0, got {self.gamma0}")
         if self.m_env <= 0:
             raise ConfigurationError(f"m_env must be > 0, got {self.m_env}")
-        if self.n_macrofractions < 1 or self.traced_size < 1:
-            raise ConfigurationError("traced_size and n_macrofractions must be >= 1")
-        observed = self.n_total - self.traced_size
-        if observed < self.n_macrofractions:
-            raise ConfigurationError(
-                f"n_total={self.n_total} leaves {observed} observed oscillators for "
-                f"{self.n_macrofractions} macro-fractions"
-            )
-        if observed % self.n_macrofractions != 0:
-            raise ConfigurationError(
-                f"{observed} observed oscillators are not divisible into "
-                f"{self.n_macrofractions} equal macro-fractions"
-            )
+        if min(self.traced_size, self.macrofraction_size, self.n_macrofractions) < 1:
+            raise ConfigurationError("traced_size, macrofraction_size and n_macrofractions must be >= 1")
 
     @property
-    def macrofraction_size(self) -> int:
-        return (self.n_total - self.traced_size) // self.n_macrofractions
+    def n_total(self) -> int:
+        return self.traced_size + self.macrofraction_size * self.n_macrofractions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentRealization:
-    """One sampled bath, partitioned into traced and observed fractions."""
+    """One sampled bath: the traced fraction and the equal observed blocks."""
 
-    traced: tuple[Oscillator, ...]
-    macrofractions: tuple[tuple[Oscillator, ...], ...]
-
-    def __post_init__(self):
-        sizes = {len(m) for m in self.macrofractions}
-        if len(sizes) > 1:
-            raise ConfigurationError(f"macro-fractions must be equal-sized, got sizes {sorted(sizes)}")
+    traced: Modes
+    macrofractions: tuple[Modes, ...]
 
 
 @dataclass(frozen=True)
 class EnvInitialState:
     """Thermal temperature plus optional single-mode Gaussian parameters.
 
-    ``displacement_gamma`` is recorded for completeness but does not enter the
-    decoherence factor or the macro-fraction overlap: a displacement of the
-    initial bath state only contributes phases that the modulus removes.
+    A displacement of the initial bath state is not a parameter: it only
+    contributes phases that the modulus removes.
     """
 
     temperature: float  # K
     squeeze_r: float = 0.0
     squeeze_theta: float = 0.0
     rot_psi: float = 0.0
-    displacement_gamma: complex = 0j
 
     def __post_init__(self):
         _require_finite(
@@ -157,7 +155,6 @@ class EnvInitialState:
             squeeze_r=self.squeeze_r,
             squeeze_theta=self.squeeze_theta,
             rot_psi=self.rot_psi,
-            displacement_gamma=self.displacement_gamma,
         )
         if self.temperature < 0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
@@ -181,7 +178,10 @@ def coupling_constant(mass_M: float, m_k: float, gamma0: float) -> float:
         raise DomainError(
             f"coupling_constant needs positive inputs, got M={mass_M}, m_k={m_k}, gamma0={gamma0}"
         )
-    return 2.0 * math.sqrt(mass_M * m_k * gamma0 / math.pi)
+    c = 2.0 * math.sqrt(mass_M * m_k * gamma0 / math.pi)
+    if not math.isfinite(c):
+        raise DomainError(f"coupling constant overflows for M={mass_M}, m_k={m_k}, gamma0={gamma0}")
+    return c
 
 
 def is_off_resonant(omega: float, omega_big: float, ratio: float = DEFAULT_RESONANCE_RATIO) -> bool:
@@ -191,53 +191,29 @@ def is_off_resonant(omega: float, omega_big: float, ratio: float = DEFAULT_RESON
     return omega < omega_big / ratio or omega > omega_big * ratio
 
 
-def partition_macrofractions(
-    oscillators: list[Oscillator] | tuple[Oscillator, ...],
-    n_macrofractions: int,
-    traced_size: int,
-) -> EnvironmentRealization:
-    """Split an oscillator list into the traced fraction and equal observed blocks.
+def sample_environment(spec: EnvironmentSpec, sys: SystemParams) -> EnvironmentRealization:
+    """Draw one disorder realization; deterministic function of ``spec.seed``.
 
-    The first ``traced_size`` entries become the traced fraction; the rest is
-    cut into contiguous equal blocks.  Sampling already randomizes the order,
-    so the contiguous split is statistically equivalent to any other.
+    The first ``traced_size`` draws are the traced fraction and the rest is
+    cut into contiguous macro-fractions.  The draws are i.i.d., so the
+    contiguous split is statistically equivalent to any other.
     """
-    observed = len(oscillators) - traced_size
-    if traced_size < 1 or observed < n_macrofractions:
-        raise ConfigurationError(
-            f"{len(oscillators)} oscillators cannot hold traced_size={traced_size} plus "
-            f"{n_macrofractions} macro-fractions"
-        )
-    if observed % n_macrofractions != 0:
-        raise ConfigurationError(
-            f"{observed} observed oscillators are not divisible by {n_macrofractions}"
-        )
-    size = observed // n_macrofractions
-    traced = tuple(oscillators[:traced_size])
-    macs = tuple(
-        tuple(oscillators[traced_size + i * size : traced_size + (i + 1) * size])
-        for i in range(n_macrofractions)
-    )
-    return EnvironmentRealization(traced=traced, macrofractions=macs)
-
-
-def sample_environment(
-    spec: EnvironmentSpec,
-    sys: SystemParams,
-    resonance_ratio: float = DEFAULT_RESONANCE_RATIO,
-) -> EnvironmentRealization:
-    """Draw one disorder realization; deterministic function of ``spec.seed``."""
     lo, hi = spec.omega_low, spec.omega_high
-    band_lo = sys.omega_big / resonance_ratio
-    band_hi = sys.omega_big * resonance_ratio
+    band_lo = sys.omega_big / DEFAULT_RESONANCE_RATIO
+    band_hi = sys.omega_big * DEFAULT_RESONANCE_RATIO
     if lo < band_hi and hi > band_lo:
         raise ConfigurationError(
             f"frequency range [{lo:g}, {hi:g}] overlaps the resonant band "
             f"[{band_lo:g}, {band_hi:g}] around the central frequency {sys.omega_big:g} "
-            f"(off-resonance ratio {resonance_ratio:g})"
+            f"(off-resonance ratio {DEFAULT_RESONANCE_RATIO:g})"
         )
-    rng = np.random.default_rng(spec.seed)
-    omegas = rng.uniform(lo, hi, spec.n_total)
+    omega = np.random.default_rng(spec.seed).uniform(lo, hi, spec.n_total)
     c = coupling_constant(sys.mass_M, spec.m_env, spec.gamma0)
-    oscillators = [Oscillator(omega=float(w), mass=spec.m_env, coupling=c) for w in omegas]
-    return partition_macrofractions(oscillators, spec.n_macrofractions, spec.traced_size)
+    bath = Modes(omega, c / (2.0 * np.sqrt(2.0 * spec.m_env * omega)))
+    start, size = spec.traced_size, spec.macrofraction_size
+    return EnvironmentRealization(
+        traced=bath[:start],
+        macrofractions=tuple(
+            bath[start + i * size : start + (i + 1) * size] for i in range(spec.n_macrofractions)
+        ),
+    )

@@ -9,8 +9,6 @@ large baths at strong coupling.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,7 +16,7 @@ import numpy as np
 from . import kernels
 from .constants import HBAR, KB
 from .errors import ConfigurationError, DomainError
-from .model import EnvInitialState, Oscillator, SqueezeAxis, SystemParams
+from .model import EnvInitialState, Modes, SqueezeAxis, SystemParams
 
 DEFAULT_EPS = 0.05
 DEFAULT_EPS_HI = 0.3
@@ -31,23 +29,6 @@ class RegimeFlag(Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class LogExponents:
-    """ln|Gamma| and ln B, optionally resolved per oscillator."""
-
-    gamma_log: np.ndarray | float
-    b_log: np.ndarray | float
-    per_oscillator: list[tuple[int, float, float]] | None = None
-
-
-def _fraction_arrays(fraction: Sequence[Oscillator]):
-    omega = np.array([o.omega for o in fraction], dtype=float)
-    pref = np.array(
-        [o.coupling / (2.0 * np.sqrt(2.0 * o.mass * o.omega)) for o in fraction], dtype=float
-    )
-    return omega, pref
-
-
 def _thermal_weight(omega: np.ndarray, temperature: float, kind: str) -> np.ndarray:
     """coth or tanh of (hbar omega / 2 kB T); both are exactly 1 in the T=0 limit."""
     if temperature == 0.0:
@@ -57,7 +38,7 @@ def _thermal_weight(omega: np.ndarray, temperature: float, kind: str) -> np.ndar
 
 
 def _exponent_sum(
-    fraction: Sequence[Oscillator],
+    fraction: Modes,
     sys: SystemParams,
     env_state: EnvInitialState,
     t,
@@ -68,34 +49,36 @@ def _exponent_sum(
         raise DomainError("oscillator fraction must be non-empty")
     if env_state.temperature < 0:
         raise DomainError(f"temperature must be >= 0, got {env_state.temperature}")
-    omega, pref = _fraction_arrays(fraction)
-    weight = _thermal_weight(omega, env_state.temperature, kind)
     axis = kernels.AXIS_MOMENTUM if sys.squeezing_axis is SqueezeAxis.MOMENTUM else kernels.AXIS_POSITION
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    sums = kernels.exponent_series(
-        times,
-        omega,
-        pref,
-        weight,
-        sys.omega_big,
-        axis,
-        env_state.squeeze_r,
-        env_state.squeeze_theta,
-        env_state.rot_psi,
-    )
-    # A numpy square overflows to inf where a Python float one raises; an
-    # overflowed gain or phase then gives inf * 0 = NaN, at t = 0 first.
-    ex = np.float64(sys.x_sep) ** 2 / (2.0 * HBAR) * sums
-    if np.isnan(ex).any():
+    # x_sep is squared as a numpy scalar, which overflows to inf where a Python
+    # float raises.  An overflowed gain, phase or square gives inf, or
+    # inf * 0 = NaN at t = 0; the check below reports both, so numpy's
+    # warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weight = _thermal_weight(fraction.omega, env_state.temperature, kind)
+        sums = kernels.exponent_series(
+            times,
+            fraction.omega,
+            fraction.pref,
+            weight,
+            sys.omega_big,
+            axis,
+            env_state.squeeze_r,
+            env_state.squeeze_theta,
+            env_state.rot_psi,
+        )
+        ex = np.float64(sys.x_sep) ** 2 / (2.0 * HBAR) * sums
+    if not np.isfinite(ex).all():
         raise DomainError(
-            "exponent sum is NaN: a per-mode gain (x_sep, masses, coupling, "
+            "exponent sum is not finite: a per-mode gain (x_sep, masses, coupling, "
             "temperature, squeeze_r) or a phase (t) overflowed"
         )
     return ex
 
 
 def decoherence_factor(
-    fraction: Sequence[Oscillator],
+    fraction: Modes,
     sys: SystemParams,
     env_state: EnvInitialState,
     t,
@@ -107,7 +90,7 @@ def decoherence_factor(
 
 
 def overlap_macrofraction(
-    mac: Sequence[Oscillator],
+    mac: Modes,
     sys: SystemParams,
     env_state: EnvInitialState,
     t,
@@ -116,43 +99,6 @@ def overlap_macrofraction(
     ex = _exponent_sum(mac, sys, env_state, t, "tanh")
     out = np.exp(-ex)
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def log_exponents(
-    traced: Sequence[Oscillator],
-    observed: Sequence[Oscillator],
-    sys: SystemParams,
-    env_state: EnvInitialState,
-    t,
-    per_oscillator: bool = False,
-) -> LogExponents:
-    """Numerically stable sum-of-logs form of both observables.
-
-    With ``per_oscillator=True`` (scalar t only) the individual log factors of
-    the traced (gamma) and observed (b) fractions are returned, paired by
-    position for equal-length fractions.
-    """
-    g = -_exponent_sum(traced, sys, env_state, t, "coth")
-    b = -_exponent_sum(observed, sys, env_state, t, "tanh")
-    per = None
-    if per_oscillator:
-        if np.ndim(t) != 0:
-            raise DomainError("per_oscillator breakdown needs a scalar time")
-        per = []
-        for k, osc in enumerate(traced):
-            per.append((k, float(-_exponent_sum([osc], sys, env_state, t, "coth")[0]), np.nan))
-        for k, osc in enumerate(observed):
-            lb = float(-_exponent_sum([osc], sys, env_state, t, "tanh")[0])
-            if k < len(per):
-                per[k] = (k, per[k][1], lb)
-            else:
-                per.append((k, np.nan, lb))
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    return LogExponents(
-        gamma_log=float(g[0]) if scalar else g,
-        b_log=float(b[0]) if scalar else b,
-        per_oscillator=per,
-    )
 
 
 def classify_regime(

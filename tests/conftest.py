@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qbm_sbs.model import EnvInitialState, EnvironmentSpec, SqueezeAxis, SystemParams
+from qbm_sbs.observables import _exponent_sum
 
 MASS_M = 1.0e-5
 OMEGA_BIG = 3.0e8
@@ -26,7 +27,7 @@ def system_position():
 
 def make_spec(macrofraction_size=30, n_macrofractions=1, traced_size=30, seed=7):
     return EnvironmentSpec(
-        n_total=traced_size + macrofraction_size * n_macrofractions,
+        macrofraction_size=macrofraction_size,
         omega_low=OMEGA_LOW,
         omega_high=OMEGA_HIGH,
         gamma0=GAMMA0,
@@ -35,6 +36,11 @@ def make_spec(macrofraction_size=30, n_macrofractions=1, traced_size=30, seed=7)
         traced_size=traced_size,
         seed=seed,
     )
+
+
+def log_factors(fraction, sys, state, t):
+    """(ln|Gamma|, ln B) of one fraction at a scalar time t."""
+    return tuple(-float(_exponent_sum(fraction, sys, state, t, kind)[0]) for kind in ("coth", "tanh"))
 
 
 @pytest.fixture

@@ -15,14 +15,8 @@ import pytest
 from qbm_sbs import cli
 from qbm_sbs.constants import HBAR
 from qbm_sbs.dynamics import alpha_momentum, alpha_sq_momentum
-from qbm_sbs.model import (
-    EnvInitialState,
-    Oscillator,
-    SystemParams,
-    coupling_constant,
-    sample_environment,
-)
-from qbm_sbs.observables import DEFAULT_EPS, RegimeFlag, log_exponents
+from qbm_sbs.model import EnvInitialState, SystemParams, sample_environment
+from qbm_sbs.observables import DEFAULT_EPS, RegimeFlag
 from qbm_sbs.oracle import validate_closed_forms
 from qbm_sbs.sweeps import (
     TimeSampler,
@@ -33,8 +27,8 @@ from qbm_sbs.sweeps import (
     time_series,
 )
 
-from conftest import GAMMA0, M_ENV, MASS_M, OMEGA_BIG, X_SEP, make_spec
-from test_dynamics import quad_alpha
+from conftest import MASS_M, OMEGA_BIG, X_SEP, log_factors, make_spec
+from test_dynamics import make_osc, quad_alpha
 
 MASTER_SEED = 20260823
 TAU = 1.0e-5
@@ -239,25 +233,21 @@ def test_6_property_suite(sys_mom, tmp_path):
     t = 6.1e-9
 
     # Multiplicativity over disjoint unions, exact in log space.
-    la = log_exponents(realization.traced[:15], realization.traced[:15], sys_mom, state, t)
-    lb = log_exponents(realization.traced[15:], realization.traced[15:], sys_mom, state, t)
-    lab = log_exponents(realization.traced, realization.traced, sys_mom, state, t)
-    mult_dev = max(
-        abs(lab.gamma_log - la.gamma_log - lb.gamma_log) / abs(lab.gamma_log),
-        abs(lab.b_log - la.b_log - lb.b_log) / abs(lab.b_log),
-    )
+    ga, ba = log_factors(realization.traced[:15], sys_mom, state, t)
+    gb, bb = log_factors(realization.traced[15:], sys_mom, state, t)
+    gab, bab = log_factors(realization.traced, sys_mom, state, t)
+    mult_dev = max(abs(gab - ga - gb) / abs(gab), abs(bab - ba - bb) / abs(bab))
 
     # Per-mode product of log observables equals the squared T=0 exponent.
-    per = log_exponents(
-        realization.traced[:5], realization.traced[:5], sys_mom, state, t, per_oscillator=True
-    ).per_oscillator
     id_dev = 0.0
-    for k, lg, lbk in per:
-        e0 = X_SEP**2 / (2.0 * HBAR) * abs(alpha_momentum(realization.traced[k], sys_mom, t)) ** 2
+    for k in range(5):
+        lg, lbk = log_factors(realization.traced[k : k + 1], sys_mom, state, t)
+        osc = make_osc(float(realization.traced.omega[k]))
+        e0 = X_SEP**2 / (2.0 * HBAR) * abs(alpha_momentum(osc, sys_mom, t)) ** 2
         id_dev = max(id_dev, abs(lg * lbk - e0**2) / e0**2)
 
     # Dual-form |alpha|^2 and quadrature checks on one representative mode.
-    osc = realization.traced[0]
+    osc = make_osc(float(realization.traced.omega[0]))
     grid = np.linspace(0.0, 2e-8, 500)
     direct = np.abs(alpha_momentum(osc, sys_mom, grid)) ** 2
     dual_dev = float(np.max(np.abs(direct - alpha_sq_momentum(osc, sys_mom, grid))) / direct.max())
@@ -265,9 +255,8 @@ def test_6_property_suite(sys_mom, tmp_path):
     quad_dev = abs(complex(alpha_momentum(osc, sys_mom, 1.0e-9)) - quad) / abs(quad)
 
     # T = 0 equality and t = 0 unity.
-    le0 = log_exponents(realization.traced, realization.traced, sys_mom, EnvInitialState(0.0), t)
-    t0 = log_exponents(realization.traced, realization.traced, sys_mom, state, 0.0)
-    exact_ok = le0.gamma_log == le0.b_log and t0.gamma_log == 0.0 and t0.b_log == 0.0
+    g0, b0 = log_factors(realization.traced, sys_mom, EnvInitialState(0.0), t)
+    exact_ok = g0 == b0 and log_factors(realization.traced, sys_mom, state, 0.0) == (0.0, 0.0)
 
     # Byte-identical CLI reruns.
     args = ["--set", "n_points=200", "timeseries"]

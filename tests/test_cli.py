@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbm_sbs import cli
 from qbm_sbs.cli import _SCHEMA, load_config, main
 from qbm_sbs.errors import ConfigurationError
 
@@ -154,7 +155,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "item",
-        ["temperature=nan", "x_sep=inf", "t_max=inf", "displacement_gamma=1+nanj", "squeeze_r=400"],
+        ["temperature=nan", "x_sep=inf", "t_max=inf", "squeeze_r=400"],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, item):
         assert main(["--out", str(tmp_path), *FAST_TS, "--set", item, "timeseries"]) == 2
@@ -162,11 +163,38 @@ class TestExitCodes:
         assert list(tmp_path.rglob("*.csv")) == []
 
     @pytest.mark.parametrize(
-        "item", ["squeeze_r=353", "temperature=1e308", "x_sep=1e200", "t_max=1e300"]
+        "args",
+        [
+            [*FAST_TS, "--set", "squeeze_r=353", "timeseries"],
+            [*FAST_TS, "--set", "temperature=1e308", "timeseries"],
+            [*FAST_TS, "--set", "x_sep=1e200", "timeseries"],
+            [*FAST_TS, "--set", "t_max=1e300", "timeseries"],
+            # A random-sampler sweep never samples t = 0, where the NaN shows.
+            [*FAST_SWEEP, "--set", "squeeze_r=354", "sweep"],
+            [*FAST_SWEEP, "--set", "x_sep=1e200", "sweep"],
+        ],
+        ids=[
+            "squeeze_r=353", "temperature=1e308", "x_sep=1e200", "t_max=1e300",
+            "sweep squeeze_r=354", "sweep x_sep=1e200",
+        ],
     )
-    def test_overflowing_exponent_is_config_error(self, tmp_path, capsys, item):
-        assert main(["--out", str(tmp_path), *FAST_TS, "--set", item, "timeseries"]) == 2
-        assert "exponent sum is NaN" in capsys.readouterr().err
+    def test_overflowing_exponent_is_config_error(self, tmp_path, capsys, args):
+        assert main(["--out", str(tmp_path), *args]) == 2
+        assert "exponent sum is not finite" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_non_ascii_value_is_config_error(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), *FAST_TS, "--set", "traced_size=\u0669", "timeseries"]) == 2
+        assert "not ASCII" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_memory_error_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "sample_environment", exhausted)
+        assert main(["--out", str(tmp_path), *FAST_TS, "timeseries"]) == 2
+        assert "out of memory" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
     def test_unwritable_output_is_io_error(self, tmp_path):
@@ -221,8 +249,7 @@ def test_reruns_are_byte_identical(tmp_path, args):
 
 
 # Numbers come only from the bounded integers, so that no size key allocates
-# much memory: int() parses any Unicode decimal digit (category Nd), and text
-# such as "traced_size=٩٩٩٩٩٩" builds a million oscillators.
+# much memory: drawn text such as "traced_size=999999999" would.
 _NO_DIGITS = st.text(st.characters(exclude_categories=("Nd",)))
 
 

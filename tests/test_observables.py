@@ -9,11 +9,11 @@ from qbm_sbs.observables import (
     RegimeFlag,
     classify_regime,
     decoherence_factor,
-    log_exponents,
     overlap_macrofraction,
 )
 
-from conftest import MASS_M, OMEGA_BIG, X_SEP, make_spec
+from conftest import MASS_M, OMEGA_BIG, X_SEP, log_factors, make_spec
+from test_dynamics import make_osc
 
 T_GRID = np.linspace(0.0, 2e-8, 80)
 
@@ -53,9 +53,9 @@ class TestLimits:
         for i, t in enumerate(T_GRID[:5]):
             assert decoherence_factor(realization.traced, system, thermal_state, float(t)) == g_arr[i]
 
-    def test_empty_fraction_rejected(self, system, thermal_state):
+    def test_empty_fraction_rejected(self, system, realization, thermal_state):
         with pytest.raises(DomainError):
-            decoherence_factor([], system, thermal_state, 1e-9)
+            decoherence_factor(realization.traced[:0], system, thermal_state, 1e-9)
 
 
 class TestStructure:
@@ -64,39 +64,21 @@ class TestStructure:
         half_a = realization.traced[:15]
         half_b = realization.traced[15:]
         t = 7.3e-9
-        la = log_exponents(half_a, half_a, system, thermal_state, t)
-        lb = log_exponents(half_b, half_b, system, thermal_state, t)
-        lab = log_exponents(realization.traced, realization.traced, system, thermal_state, t)
-        assert lab.gamma_log == pytest.approx(la.gamma_log + lb.gamma_log, rel=1e-12)
-        assert lab.b_log == pytest.approx(la.b_log + lb.b_log, rel=1e-12)
+        ga, ba = log_factors(half_a, system, thermal_state, t)
+        gb, bb = log_factors(half_b, system, thermal_state, t)
+        gab, bab = log_factors(realization.traced, system, thermal_state, t)
+        assert gab == pytest.approx(ga + gb, rel=1e-12)
+        assert bab == pytest.approx(ba + bb, rel=1e-12)
 
     def test_per_mode_log_product_identity(self, system, realization, thermal_state):
         """Per mode, ln gamma * ln b equals the squared zero-temperature exponent:
         the thermal weights are reciprocal."""
         t = 5.0e-9
-        le = log_exponents(
-            realization.traced[:5],
-            realization.traced[:5],
-            system,
-            thermal_state,
-            t,
-            per_oscillator=True,
-        )
-        for k, lg, lb in le.per_oscillator:
-            osc = realization.traced[k]
+        for k in range(5):
+            lg, lb = log_factors(realization.traced[k : k + 1], system, thermal_state, t)
+            osc = make_osc(float(realization.traced.omega[k]))
             e0 = X_SEP**2 / (2.0 * HBAR) * abs(alpha_momentum(osc, system, t)) ** 2
             assert lg * lb == pytest.approx(e0**2, rel=1e-10)
-
-    def test_per_oscillator_requires_scalar_time(self, system, realization, thermal_state):
-        with pytest.raises(DomainError):
-            log_exponents(
-                realization.traced,
-                realization.traced,
-                system,
-                thermal_state,
-                T_GRID,
-                per_oscillator=True,
-            )
 
     def test_gamma_decreases_with_temperature(self, system, realization):
         t = 4.0e-9

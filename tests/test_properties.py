@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbm_sbs.dynamics import alpha_gaussian
-from qbm_sbs.model import Oscillator, coupling_constant, partition_macrofractions
+from qbm_sbs.model import SystemParams, coupling_constant, sample_environment
 from qbm_sbs.observables import classify_regime
 from qbm_sbs.oracle import b_closed, gamma_closed
+
+from conftest import GAMMA0, M_ENV, MASS_M, OMEGA_BIG, OMEGA_HIGH, OMEGA_LOW, X_SEP, make_spec
 
 finite = dict(allow_nan=False, allow_infinity=False)
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, **finite)
@@ -71,13 +73,22 @@ def test_classifier_is_total(g, b):
 
 @settings(max_examples=25, deadline=None)
 @given(
+    traced=st.integers(min_value=1, max_value=8),
     n_mac=st.integers(min_value=1, max_value=5),
     size=st.integers(min_value=1, max_value=6),
-    traced=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_partition_is_a_permutation_free_split(n_mac, size, traced):
-    n = traced + n_mac * size
-    oscs = [Oscillator(omega=1e9 + i, mass=1e-25, coupling=1.0) for i in range(n)]
-    r = partition_macrofractions(oscs, n_mac, traced)
-    flat = list(r.traced) + [o for m in r.macrofractions for o in m]
-    assert flat == oscs
+def test_sampled_blocks_split_one_uniform_draw(traced, n_mac, size, seed):
+    sys = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=X_SEP)
+    spec = make_spec(macrofraction_size=size, n_macrofractions=n_mac, traced_size=traced, seed=seed)
+    r = sample_environment(spec, sys)
+    assert len(r.traced) == traced
+    assert [len(m) for m in r.macrofractions] == [size] * n_mac
+    blocks = [r.traced, *r.macrofractions]
+    draw = np.random.default_rng(seed).uniform(OMEGA_LOW, OMEGA_HIGH, traced + n_mac * size)
+    np.testing.assert_array_equal(np.concatenate([b.omega for b in blocks]), draw)
+    # The per-mode expression of the amplitude prefactor, bit for bit.
+    c = coupling_constant(MASS_M, M_ENV, GAMMA0)
+    for b in blocks:
+        for w, pref in zip(b.omega, b.pref):
+            assert pref == c / (2.0 * np.sqrt(2.0 * M_ENV * float(w)))
