@@ -23,15 +23,9 @@ import numpy as np
 from . import __version__, kernels
 from .constants import HBAR, KB
 from .errors import ConfigurationError, DomainError, QbmSbsError
-from .model import EnvInitialState, EnvironmentSpec, SqueezeAxis, SystemParams
+from .model import EnvInitialState, EnvironmentSpec, SqueezeAxis, SystemParams, sample_environment
 from .oracle import validate_closed_forms
-from .sweeps import (
-    _cell_seeds,
-    position_squeezing_comparison,
-    sample_environment,
-    temperature_sweep,
-    time_series,
-)
+from .sweeps import cell_seeds, position_squeezing_comparison, temperature_sweep, time_series
 
 EXIT_OK = 0
 EXIT_ORACLE_FAIL = 1
@@ -43,7 +37,7 @@ _SCHEMA: dict[str, tuple] = {
     "mass_M": (float, 1.0e-5),
     "omega_big": (float, 3.0e8),
     "x_sep": (float, 1.0e-9),
-    "squeezing_axis": (str, "momentum"),
+    "squeezing_axis": (SqueezeAxis, SqueezeAxis.MOMENTUM),
     "macrofraction_size": (int, 30),
     "n_macrofractions": (int, 1),
     "traced_size": (int, 30),
@@ -61,7 +55,6 @@ _SCHEMA: dict[str, tuple] = {
     "n_points": (int, 2001),
     "tau": (float, 1.0e-5),
     "n_time_samples": (int, 100000),
-    "time_sampler": (str, "random"),
     "temp_min": (float, 1.0e-4),
     "temp_max": (float, 10.0),
     "n_temps": (int, 13),
@@ -86,20 +79,14 @@ class RunConfig:
             raise AttributeError(key)
 
     def system(self) -> SystemParams:
-        try:
-            axis = SqueezeAxis(self.values["squeezing_axis"])
-        except ValueError:
-            raise ConfigurationError(
-                f"squeezing_axis must be 'momentum' or 'position', got {self.values['squeezing_axis']!r}"
-            ) from None
         return SystemParams(
             mass_M=self.values["mass_M"],
             omega_big=self.values["omega_big"],
             x_sep=self.values["x_sep"],
-            squeezing_axis=axis,
+            squeezing_axis=self.values["squeezing_axis"],
         )
 
-    def environment_spec(self, seed: int = 0) -> EnvironmentSpec:
+    def environment_spec(self) -> EnvironmentSpec:
         v = self.values
         return EnvironmentSpec(
             macrofraction_size=v["macrofraction_size"],
@@ -109,7 +96,6 @@ class RunConfig:
             m_env=v["m_env"],
             n_macrofractions=v["n_macrofractions"],
             traced_size=v["traced_size"],
-            seed=seed,
         )
 
     def env_state(self) -> EnvInitialState:
@@ -223,8 +209,8 @@ def _write_output(out_dir: Path, name: str, config: RunConfig, command: str, tab
 
 def cmd_timeseries(config: RunConfig, out_dir: Path) -> int:
     sys_params = config.system()
-    env_seed, _ = _cell_seeds(config.seed, 0, 0)
-    realization = sample_environment(config.environment_spec(seed=env_seed), sys_params)
+    env_seed, _ = cell_seeds(config.seed, 0, 0)
+    realization = sample_environment(config.environment_spec(), sys_params, env_seed)
     series = time_series(
         realization, sys_params, config.env_state(), config.t_max, config.n_points
     )
@@ -243,7 +229,6 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
         tau=config.tau,
         n_time_samples=config.n_time_samples,
         master_seed=config.seed,
-        sampler_kind=config.time_sampler,
         eps=config.eps,
         eps_hi=config.eps_hi,
         threads=config.threads,
@@ -294,7 +279,6 @@ def cmd_compare_squeezing(config: RunConfig, out_dir: Path) -> int:
         n_points=config.n_points,
         n_realizations=config.n_realizations,
         master_seed=config.seed,
-        sampler_kind=config.time_sampler,
     )
     sp, sm = cmp.series_position, cmp.series_momentum
     series = {

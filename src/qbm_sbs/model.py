@@ -101,7 +101,6 @@ class EnvironmentSpec:
     m_env: float  # kg, common bath mass
     n_macrofractions: int
     traced_size: int
-    seed: int
 
     def __post_init__(self):
         _require_finite(
@@ -191,8 +190,8 @@ def is_off_resonant(omega: float, omega_big: float, ratio: float = DEFAULT_RESON
     return omega < omega_big / ratio or omega > omega_big * ratio
 
 
-def sample_environment(spec: EnvironmentSpec, sys: SystemParams) -> EnvironmentRealization:
-    """Draw one disorder realization; deterministic function of ``spec.seed``.
+def sample_environment(spec: EnvironmentSpec, sys: SystemParams, seed: int) -> EnvironmentRealization:
+    """Draw one disorder realization; deterministic function of ``seed``.
 
     The first ``traced_size`` draws are the traced fraction and the rest is
     cut into contiguous macro-fractions.  The draws are i.i.d., so the
@@ -207,9 +206,17 @@ def sample_environment(spec: EnvironmentSpec, sys: SystemParams) -> EnvironmentR
             f"[{band_lo:g}, {band_hi:g}] around the central frequency {sys.omega_big:g} "
             f"(off-resonance ratio {DEFAULT_RESONANCE_RATIO:g})"
         )
-    omega = np.random.default_rng(spec.seed).uniform(lo, hi, spec.n_total)
+    omega = np.random.default_rng(seed).uniform(lo, hi, spec.n_total)
     c = coupling_constant(sys.mass_M, spec.m_env, spec.gamma0)
-    bath = Modes(omega, c / (2.0 * np.sqrt(2.0 * spec.m_env * omega)))
+    # 2 m_env omega can overflow to inf (pref 0) or underflow to 0 (pref inf or NaN).
+    with np.errstate(all="ignore"):
+        pref = c / (2.0 * np.sqrt(2.0 * spec.m_env * omega))
+    if not np.all((pref > 0) & (pref < math.inf)):
+        raise DomainError(
+            f"bath prefactor C / (2 sqrt(2 m_env omega)) is not finite and > 0 for "
+            f"m_env={spec.m_env}, omega in [{lo:g}, {hi:g}], coupling {c}"
+        )
+    bath = Modes(omega, pref)
     start, size = spec.traced_size, spec.macrofraction_size
     return EnvironmentRealization(
         traced=bath[:start],

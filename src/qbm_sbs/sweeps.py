@@ -1,11 +1,11 @@
 """Time series, convergence-controlled time averages and temperature sweeps.
 
 Both observables are almost periodic in time, so the long-time mean is
-estimated either on a uniform grid or by seeded random time sampling over a
-window ``tau``.  Every average carries a convergence record comparing the
-half-sample and full-sample estimates.  Ensemble statistics run over fresh
-disorder realizations whose seeds derive deterministically from a master
-seed.
+estimated by seeded uniform random time sampling over a window ``tau``.
+Every average carries a convergence record comparing the half-sample and
+full-sample estimates.  Ensemble statistics run over fresh disorder
+realizations; ``cell_seeds`` derives every disorder and time-sample seed from
+a master seed and the cell index.
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ from .observables import (
 CONV_REL = 0.01
 CONV_ABS = 1.0e-4
 TRANSIENT_PERIODS = 10
-
-
-@dataclass(frozen=True)
-class TimeSampler:
-    """Time-sample generator for the window [0, tau]."""
-
-    kind: str  # "random" or "grid"
-    n: int
-    seed: int = 0
-
-    def times(self, tau: float) -> np.ndarray:
-        if self.n < 2:
-            raise ConfigurationError(f"sampler needs n >= 2, got {self.n}")
-        if self.kind == "grid":
-            return np.linspace(0.0, tau, self.n)
-        if self.kind == "random":
-            return np.random.default_rng(self.seed).uniform(0.0, tau, self.n)
-        raise ConfigurationError(f"unknown sampler kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -140,27 +122,35 @@ def _drift_converged(full: float, half: float) -> tuple[float, bool]:
     return drift, drift <= max(CONV_REL * max(abs(full), abs(half)), CONV_ABS)
 
 
+def sample_times(tau: float, n: int, seed: int) -> np.ndarray:
+    """``n`` seeded uniform random times in the window [0, tau]."""
+    if not 0 < tau < math.inf:
+        raise ConfigurationError(f"tau must be finite and > 0, got {tau}")
+    if n < 2:
+        raise ConfigurationError(f"need n >= 2 time samples, got {n}")
+    return np.random.default_rng(seed).uniform(0.0, tau, n)
+
+
 def time_average(
     realization: EnvironmentRealization,
     sys: SystemParams,
     env_state: EnvInitialState,
     tau: float,
-    sampler: TimeSampler,
+    n_samples: int,
+    seed: int,
 ) -> TimeAverageResult:
     """Estimate of (1/tau) * integral over [0, tau] of both observables."""
-    if not 0 < tau < math.inf:
-        raise ConfigurationError(f"tau must be finite and > 0, got {tau}")
+    t = sample_times(tau, n_samples, seed)
     warning = None
     if tau < TRANSIENT_PERIODS * 2.0 * math.pi / sys.omega_big:
         warning = (
             f"tau={tau:g}s is shorter than {TRANSIENT_PERIODS} system periods; "
             "the average is dominated by the transient"
         )
-    t = sampler.times(tau)
     gamma = decoherence_factor(realization.traced, sys, env_state, t)
     b = overlap_macrofraction(realization.macrofractions[0], sys, env_state, t)
-    # Half-sample estimate on every other sample: an unbiased subset for the
-    # random sampler and a coarser grid for the grid sampler.
+    # Half-sample estimate on every other sample, an unbiased subset of the
+    # i.i.d. draws.
     g_full, b_full = float(gamma.mean()), float(b.mean())
     g_half, b_half = float(gamma[::2].mean()), float(b[::2].mean())
     g_drift, g_ok = _drift_converged(g_full, g_half)
@@ -177,7 +167,8 @@ def time_average(
     )
 
 
-def _cell_seeds(master_seed: int, t_index: int, realization_index: int) -> tuple[int, int]:
+def cell_seeds(master_seed: int, t_index: int, realization_index: int) -> tuple[int, int]:
+    """(disorder seed, time-sample seed) of one (temperature, realization) cell."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(t_index, realization_index))
     env_seed, time_seed = ss.generate_state(2, dtype=np.uint64)
     return int(env_seed), int(time_seed)
@@ -192,16 +183,15 @@ def temperature_sweep(
     tau: float,
     n_time_samples: int,
     master_seed: int,
-    sampler_kind: str = "random",
     eps: float = DEFAULT_EPS,
     eps_hi: float = DEFAULT_EPS_HI,
     threads: int = 1,
 ) -> list[SweepRow]:
     """Ensemble mean and standard error of both time averages per temperature.
 
-    ``spec.seed`` is ignored; realization seeds derive from ``master_seed``
-    and the (temperature, realization) cell index.  ``env_state.temperature``
-    is overridden per grid point.
+    Realization seeds derive from ``master_seed`` and the (temperature,
+    realization) cell index.  ``env_state.temperature`` is overridden per
+    grid point.
     """
     temperatures = np.asarray(temperatures, dtype=float)
     if len(temperatures) == 0 or not np.all((temperatures > 0) & np.isfinite(temperatures)):
@@ -215,11 +205,10 @@ def temperature_sweep(
 
     def run_cell(args):
         ti, ri = args
-        env_seed, time_seed = _cell_seeds(master_seed, ti, ri)
-        realization = sample_environment(replace(spec, seed=env_seed), sys)
-        sampler = TimeSampler(kind=sampler_kind, n=n_time_samples, seed=time_seed)
+        env_seed, time_seed = cell_seeds(master_seed, ti, ri)
+        realization = sample_environment(spec, sys, env_seed)
         state = replace(env_state, temperature=float(temperatures[ti]))
-        return time_average(realization, sys, state, tau, sampler)
+        return time_average(realization, sys, state, tau, n_time_samples, time_seed)
 
     cells = [(ti, ri) for ti in range(len(temperatures)) for ri in range(n_realizations)]
     workers = min(threads, len(cells))
@@ -269,14 +258,14 @@ def position_squeezing_comparison(
     n_points: int,
     n_realizations: int,
     master_seed: int,
-    sampler_kind: str = "random",
 ) -> SqueezingComparison:
     """Run both squeezing axes at identical parameters and disorder.
 
     The revival metric is the maximum of |Gamma(t)| over the late window
     [t_S, t_max], where t_S = 2 pi / Omega is the system period: for the sine
     trajectory the coherence returns close to 1 once per period, so ``t_max``
-    must exceed t_S for the window to be non-empty.
+    must exceed t_S for the window to be non-empty.  Both axes average
+    |Gamma| over the same sampled times.
     """
     t_sys = 2.0 * math.pi / sys.omega_big
     window = (t_sys, t_max)
@@ -284,31 +273,33 @@ def position_squeezing_comparison(
         raise ConfigurationError(
             f"t_max={t_max:g}s leaves an empty revival window starting at {window[0]:g}s"
         )
+    if n_realizations < 1:
+        raise ConfigurationError(f"n_realizations must be >= 1, got {n_realizations}")
     sys_pos = replace(sys, squeezing_axis=SqueezeAxis.POSITION)
     sys_mom = replace(sys, squeezing_axis=SqueezeAxis.MOMENTUM)
 
     rows = []
     series_pos = series_mom = None
     for ri in range(n_realizations):
-        env_seed, time_seed = _cell_seeds(master_seed, 0, ri)
-        realization = sample_environment(replace(spec, seed=env_seed), sys)
-        sampler = TimeSampler(kind=sampler_kind, n=n_time_samples, seed=time_seed)
+        env_seed, time_seed = cell_seeds(master_seed, 0, ri)
+        realization = sample_environment(spec, sys, env_seed)
         sp = time_series(realization, sys_pos, env_state, t_max, n_points)
         sm = time_series(realization, sys_mom, env_state, t_max, n_points)
         if ri == 0:
             series_pos, series_mom = sp, sm
         late = sp.times >= window[0]
-        avg_p = time_average(realization, sys_pos, env_state, tau, sampler)
-        avg_m = time_average(realization, sys_mom, env_state, tau, sampler)
-        if avg_m.gamma_avg == avg_p.gamma_avg:
+        t = sample_times(tau, n_time_samples, time_seed)
+        avg_p = float(decoherence_factor(realization.traced, sys_pos, env_state, t).mean())
+        avg_m = float(decoherence_factor(realization.traced, sys_mom, env_state, t).mean())
+        if avg_m == avg_p:
             ratio = 1.0
         else:
-            ratio = avg_p.gamma_avg / avg_m.gamma_avg if avg_m.gamma_avg > 0 else math.inf
+            ratio = avg_p / avg_m if avg_m > 0 else math.inf
         rows.append(
             SqueezingComparisonRow(
                 realization_index=ri,
-                gamma_avg_position=avg_p.gamma_avg,
-                gamma_avg_momentum=avg_m.gamma_avg,
+                gamma_avg_position=avg_p,
+                gamma_avg_momentum=avg_m,
                 ratio=ratio,
                 revival_position=float(sp.gamma[late].max()),
                 revival_momentum=float(sm.gamma[late].max()),

@@ -25,7 +25,7 @@ def system_position():
     )
 
 
-def make_spec(macrofraction_size=30, n_macrofractions=1, traced_size=30, seed=7):
+def make_spec(macrofraction_size=30, n_macrofractions=1, traced_size=30):
     return EnvironmentSpec(
         macrofraction_size=macrofraction_size,
         omega_low=OMEGA_LOW,
@@ -34,7 +34,6 @@ def make_spec(macrofraction_size=30, n_macrofractions=1, traced_size=30, seed=7)
         m_env=M_ENV,
         n_macrofractions=n_macrofractions,
         traced_size=traced_size,
-        seed=seed,
     )
 
 

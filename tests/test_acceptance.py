@@ -7,7 +7,6 @@ sweeps are shared between tests through module-scoped fixtures.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +18,7 @@ from qbm_sbs.model import EnvInitialState, SystemParams, sample_environment
 from qbm_sbs.observables import DEFAULT_EPS, RegimeFlag
 from qbm_sbs.oracle import validate_closed_forms
 from qbm_sbs.sweeps import (
-    TimeSampler,
-    _cell_seeds,
+    cell_seeds,
     position_squeezing_comparison,
     temperature_sweep,
     time_average,
@@ -53,8 +51,8 @@ def ensemble_series(sys, size, temperature, n_seeds=N_REALIZATIONS):
     state = EnvInitialState(temperature=temperature)
     out = []
     for ri in range(n_seeds):
-        env_seed, _ = _cell_seeds(MASTER_SEED, 0, ri)
-        realization = sample_environment(replace(spec, seed=env_seed), sys)
+        env_seed, _ = cell_seeds(MASTER_SEED, 0, ri)
+        realization = sample_environment(spec, sys, env_seed)
         out.append(time_series(realization, sys, state, 2.0e-8, 2001))
     return out
 
@@ -226,9 +224,8 @@ def test_5_gaussian_extension(sys_mom, sweep30_thermal):
 
 def test_6_property_suite(sys_mom, tmp_path):
     """Structural identities at their stated tolerances, plus byte-identical reruns."""
-    spec = make_spec(seed=3)
-    env_seed, _ = _cell_seeds(MASTER_SEED, 0, 0)
-    realization = sample_environment(replace(spec, seed=env_seed), sys_mom)
+    env_seed, _ = cell_seeds(MASTER_SEED, 0, 0)
+    realization = sample_environment(make_spec(), sys_mom, env_seed)
     state = EnvInitialState(temperature=T_REF)
     t = 6.1e-9
 
@@ -296,11 +293,10 @@ def test_7_time_average_convergence(sys_mom):
     worst = 0.0
     all_ok = True
     for ri, temperature in [(0, 1.0e-4), (1, 1.0e-2), (2, 1.0)]:
-        env_seed, time_seed = _cell_seeds(MASTER_SEED, 0, ri)
-        realization = sample_environment(replace(spec, seed=env_seed), sys_mom)
-        sampler = TimeSampler(kind="random", n=N_TIME_SAMPLES, seed=time_seed)
+        env_seed, time_seed = cell_seeds(MASTER_SEED, 0, ri)
+        realization = sample_environment(spec, sys_mom, env_seed)
         res = time_average(
-            realization, sys_mom, EnvInitialState(temperature=temperature), TAU, sampler
+            realization, sys_mom, EnvInitialState(temperature=temperature), TAU, N_TIME_SAMPLES, time_seed
         )
         all_ok &= res.converged
         for avg, drift in [(res.gamma_avg, res.gamma_drift), (res.b_avg, res.b_drift)]:

@@ -52,8 +52,9 @@ class TestConfigLoading:
         assert cfg.provided == {"temperature", "seed"}
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown configuration key"):
-            load_config(None, ["bogus=1"], None, None)
+        for item in ("bogus=1", "time_sampler=random"):
+            with pytest.raises(ConfigurationError, match="unknown configuration key"):
+                load_config(None, [item], None, None)
 
     def test_unparsable_value_rejected(self):
         with pytest.raises(ConfigurationError, match="cannot parse"):
@@ -106,11 +107,13 @@ class TestExitCodes:
         assert main(["--out", str(tmp_path), "--set", "bogus=1", "timeseries"]) == 2
         assert "unknown configuration key" in capsys.readouterr().err
 
-    def test_bad_axis_is_config_error(self, tmp_path):
-        code = main(
-            ["--out", str(tmp_path), "--set", "squeezing_axis=sideways", *FAST_TS, "timeseries"]
-        )
-        assert code == 2
+    def test_bad_axis_is_config_error(self, tmp_path, capsys):
+        # The oracle never builds SystemParams, so only parsing can reject the axis.
+        for command in ("timeseries", "oracle"):
+            code = main(["--out", str(tmp_path), "--set", "squeezing_axis=sideways", *FAST_TS, command])
+            assert code == 2
+            assert "cannot parse squeezing_axis" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
 
     def test_compare_squeezing_rejects_explicit_axis(self, tmp_path, capsys):
         code = main(
@@ -153,6 +156,12 @@ class TestExitCodes:
         assert "threads must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    def test_zero_realizations_is_config_error(self, tmp_path, capsys):
+        args = [*FAST_CMP, "--set", "n_realizations=0", "compare-squeezing"]
+        assert main(["--out", str(tmp_path), *args]) == 2
+        assert "n_realizations must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     @pytest.mark.parametrize(
         "item",
         ["temperature=nan", "x_sep=inf", "t_max=inf", "squeeze_r=400"],
@@ -181,6 +190,13 @@ class TestExitCodes:
     def test_overflowing_exponent_is_config_error(self, tmp_path, capsys, args):
         assert main(["--out", str(tmp_path), *args]) == 2
         assert "exponent sum is not finite" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_overflowing_bath_prefactor_is_config_error(self, tmp_path, capsys):
+        # 2 m_env omega overflows while the coupling stays finite: every prefactor is 0.
+        args = ["--set", "m_env=1e308", "--set", "mass_M=1e-300", "timeseries"]
+        assert main(["--out", str(tmp_path), *FAST_TS, *args]) == 2
+        assert "bath prefactor" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
     def test_non_ascii_value_is_config_error(self, tmp_path, capsys):

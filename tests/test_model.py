@@ -98,7 +98,6 @@ class TestTypes:
             m_env=M_ENV,
             n_macrofractions=1,
             traced_size=30,
-            seed=0,
         )
         values[field] = bad
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
@@ -107,7 +106,7 @@ class TestTypes:
 
 class TestSampling:
     def test_reference_band_accepted(self, system):
-        realization = sample_environment(make_spec(), system)
+        realization = sample_environment(make_spec(), system, 7)
         assert len(realization.traced) == 30
         assert len(realization.macrofractions) == 1
         assert len(realization.macrofractions[0]) == 30
@@ -122,31 +121,44 @@ class TestSampling:
             m_env=M_ENV,
             n_macrofractions=1,
             traced_size=30,
-            seed=0,
         )
         with pytest.raises(ConfigurationError, match="resonant band"):
-            sample_environment(bad, system)
+            sample_environment(bad, system, 0)
 
     def test_same_seed_identical(self, system):
-        a = sample_environment(make_spec(seed=123), system)
-        b = sample_environment(make_spec(seed=123), system)
+        a = sample_environment(make_spec(), system, 123)
+        b = sample_environment(make_spec(), system, 123)
         np.testing.assert_array_equal(a.traced.omega, b.traced.omega)
         np.testing.assert_array_equal(a.macrofractions[0].omega, b.macrofractions[0].omega)
 
     def test_different_seed_differs(self, system):
-        a = sample_environment(make_spec(seed=1), system)
-        b = sample_environment(make_spec(seed=2), system)
+        a = sample_environment(make_spec(), system, 1)
+        b = sample_environment(make_spec(), system, 2)
         assert not np.array_equal(a.traced.omega, b.traced.omega)
         assert not np.array_equal(a.macrofractions[0].omega, b.macrofractions[0].omega)
 
     def test_frequencies_in_band_and_off_resonant(self, system):
-        realization = sample_environment(make_spec(seed=99), system)
+        realization = sample_environment(make_spec(), system, 99)
         for w in np.concatenate([realization.traced.omega, realization.macrofractions[0].omega]):
             assert 3e9 <= w <= 6e9
             assert is_off_resonant(w, system.omega_big)
 
+    @pytest.mark.parametrize(
+        "mass_M,m_env,gamma0",
+        [(1e-300, 1e308, GAMMA0), (1e-300, 1e-300, 1e-300)],
+        ids=["2 m_env omega overflows", "coupling underflows to 0"],
+    )
+    def test_degenerate_prefactor_rejected(self, mass_M, m_env, gamma0):
+        sys = SystemParams(mass_M=mass_M, omega_big=3e8, x_sep=1e-9)
+        spec = EnvironmentSpec(
+            macrofraction_size=4, omega_low=3e9, omega_high=6e9, gamma0=gamma0,
+            m_env=m_env, n_macrofractions=1, traced_size=4,
+        )
+        with pytest.raises(DomainError, match="bath prefactor"):
+            sample_environment(spec, sys, 0)
+
     def test_modes_take_slices_only(self, system):
-        traced = sample_environment(make_spec(seed=5), system).traced
+        traced = sample_environment(make_spec(), system, 5).traced
         assert len(traced[2:5]) == 3
         with pytest.raises(TypeError, match="slices only"):
             traced[2]

@@ -21,7 +21,7 @@ T_GRID = np.linspace(0.0, 2e-8, 80)
 @pytest.fixture(scope="module")
 def realization():
     sys = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=X_SEP)
-    return sample_environment(make_spec(seed=42), sys)
+    return sample_environment(make_spec(), sys, 42)
 
 
 class TestLimits:

@@ -80,8 +80,8 @@ def test_classifier_is_total(g, b):
 )
 def test_sampled_blocks_split_one_uniform_draw(traced, n_mac, size, seed):
     sys = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=X_SEP)
-    spec = make_spec(macrofraction_size=size, n_macrofractions=n_mac, traced_size=traced, seed=seed)
-    r = sample_environment(spec, sys)
+    spec = make_spec(macrofraction_size=size, n_macrofractions=n_mac, traced_size=traced)
+    r = sample_environment(spec, sys, seed)
     assert len(r.traced) == traced
     assert [len(m) for m in r.macrofractions] == [size] * n_mac
     blocks = [r.traced, *r.macrofractions]

@@ -4,12 +4,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qbm_sbs import sweeps
+from qbm_sbs import kernels, sweeps
 from qbm_sbs.errors import ConfigurationError
 from qbm_sbs.model import EnvInitialState, SystemParams, sample_environment
 from qbm_sbs.sweeps import (
-    TimeSampler,
+    cell_seeds,
     position_squeezing_comparison,
+    sample_times,
     temperature_sweep,
     time_average,
     time_series,
@@ -23,30 +24,27 @@ SMALL = dict(macrofraction_size=4, traced_size=4)
 @pytest.fixture(scope="module")
 def small_realization():
     sys = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=X_SEP)
-    return sample_environment(make_spec(seed=5, **SMALL), sys)
+    return sample_environment(make_spec(**SMALL), sys, 5)
 
 
-class TestTimeSampler:
-    def test_grid_includes_endpoints(self):
-        t = TimeSampler(kind="grid", n=11).times(1.0)
-        assert t[0] == 0.0 and t[-1] == 1.0 and len(t) == 11
-
+class TestSampleTimes:
     def test_random_is_seed_deterministic(self):
-        a = TimeSampler(kind="random", n=100, seed=3).times(2e-8)
-        b = TimeSampler(kind="random", n=100, seed=3).times(2e-8)
+        a = sample_times(2e-8, 100, 3)
+        b = sample_times(2e-8, 100, 3)
         np.testing.assert_array_equal(a, b)
-        c = TimeSampler(kind="random", n=100, seed=4).times(2e-8)
+        c = sample_times(2e-8, 100, 4)
         assert not np.array_equal(a, c)
 
     def test_random_within_window(self):
-        t = TimeSampler(kind="random", n=1000, seed=1).times(3e-8)
+        t = sample_times(3e-8, 1000, 1)
         assert np.all((0.0 <= t) & (t <= 3e-8))
 
     def test_invalid_configs(self):
-        with pytest.raises(ConfigurationError):
-            TimeSampler(kind="grid", n=1).times(1.0)
-        with pytest.raises(ConfigurationError):
-            TimeSampler(kind="sobol", n=10).times(1.0)
+        with pytest.raises(ConfigurationError, match="n >= 2"):
+            sample_times(1.0, 1, 0)
+        for tau in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="tau must be finite"):
+                sample_times(tau, 10, 0)
 
 
 class TestTimeSeries:
@@ -70,31 +68,26 @@ class TestTimeSeries:
 class TestTimeAverage:
     def test_constant_observable_converges_exactly(self, small_realization, thermal_state):
         sys0 = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=0.0)
-        sampler = TimeSampler(kind="random", n=200, seed=9)
-        res = time_average(small_realization, sys0, thermal_state, 1e-5, sampler)
+        res = time_average(small_realization, sys0, thermal_state, 1e-5, 200, 9)
         assert res.gamma_avg == 1.0 and res.b_avg == 1.0
         assert res.gamma_drift == 0.0 and res.b_drift == 0.0
         assert res.converged
         assert res.warning is None
 
     def test_short_window_warns(self, system, small_realization, thermal_state):
-        sampler = TimeSampler(kind="grid", n=50)
         tau = 2.0 * math.pi / OMEGA_BIG  # a single system period
-        res = time_average(small_realization, system, thermal_state, tau, sampler)
+        res = time_average(small_realization, system, thermal_state, tau, 50, 0)
         assert res.warning is not None and "transient" in res.warning
 
     def test_deterministic(self, system, small_realization, thermal_state):
-        sampler = TimeSampler(kind="random", n=500, seed=21)
-        a = time_average(small_realization, system, thermal_state, 1e-5, sampler)
-        b = time_average(small_realization, system, thermal_state, 1e-5, sampler)
+        a = time_average(small_realization, system, thermal_state, 1e-5, 500, 21)
+        b = time_average(small_realization, system, thermal_state, 1e-5, 500, 21)
         assert a == b
 
     def test_nonpositive_tau_rejected(self, system, small_realization, thermal_state):
         for tau in (0.0, math.inf, math.nan):
             with pytest.raises(ConfigurationError):
-                time_average(
-                    small_realization, system, thermal_state, tau, TimeSampler(kind="grid", n=4)
-                )
+                time_average(small_realization, system, thermal_state, tau, 4, 0)
 
 
 class TestTemperatureSweep:
@@ -164,6 +157,8 @@ class TestTemperatureSweep:
 
 
 class TestSqueezingComparison:
+    N_TIME_SAMPLES = 400
+
     def run(self, system, x_sep=X_SEP):
         sys = SystemParams(
             mass_M=system.mass_M, omega_big=system.omega_big, x_sep=x_sep
@@ -173,12 +168,34 @@ class TestSqueezingComparison:
             sys,
             EnvInitialState(temperature=1e-2),
             tau=1e-5,
-            n_time_samples=400,
+            n_time_samples=self.N_TIME_SAMPLES,
             t_max=2.2e-8,
             n_points=256,
             n_realizations=2,
             master_seed=11,
         )
+
+    def test_averages_match_time_average(self, system, system_position):
+        cmp = self.run(system)
+        state = EnvInitialState(temperature=1e-2)
+        for row in cmp.rows:
+            env_seed, time_seed = cell_seeds(11, 0, row.realization_index)
+            realization = sample_environment(make_spec(**SMALL), system, env_seed)
+            for sys, avg in ((system_position, row.gamma_avg_position), (system, row.gamma_avg_momentum)):
+                res = time_average(realization, sys, state, 1e-5, self.N_TIME_SAMPLES, time_seed)
+                assert avg == res.gamma_avg
+
+    def test_two_sampled_kernel_calls_per_realization(self, system, monkeypatch):
+        exponent_series = kernels.exponent_series
+        sizes = []
+
+        def counted(times, *args):
+            sizes.append(len(times))
+            return exponent_series(times, *args)
+
+        monkeypatch.setattr(kernels, "exponent_series", counted)
+        cmp = self.run(system)
+        assert sizes.count(self.N_TIME_SAMPLES) == 2 * len(cmp.rows)
 
     def test_row_count_and_window(self, system):
         cmp = self.run(system)
