@@ -244,7 +244,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
 def cmd_oracle(config: RunConfig, out_dir: Path) -> int:
     report = validate_closed_forms(force_dim=config.oracle_dim or None)
     table = _table(
-        report.cells, "nbar", "abs_eta=eta", "r", "theta", "dim", "guard_ok",
+        report.cells, "nbar", "abs_eta=eta", "r", "theta", "dim", "kept", "guard_ok",
         "gamma_closed", "gamma_fock", "gamma_dev", "b_closed", "b_fock", "b_dev", "ok",
     )
     table["abs_eta"] = [abs(eta) for eta in table["abs_eta"]]

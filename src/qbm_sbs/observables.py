@@ -101,6 +101,12 @@ def overlap_macrofraction(
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
+def check_thresholds(eps: float, eps_hi: float) -> None:
+    """Raise ``ConfigurationError`` unless 0 < eps < eps_hi < 1."""
+    if not 0.0 < eps < eps_hi < 1.0:
+        raise ConfigurationError(f"need 0 < eps < eps_hi < 1, got eps={eps}, eps_hi={eps_hi}")
+
+
 def classify_regime(
     gamma_avg: float,
     b_avg: float,
@@ -108,8 +114,7 @@ def classify_regime(
     eps_hi: float = DEFAULT_EPS_HI,
 ) -> RegimeFlag:
     """Classify time-averaged observables into broadcast / classical-quantum / coherent."""
-    if not 0.0 < eps < eps_hi < 1.0:
-        raise ConfigurationError(f"need 0 < eps < eps_hi < 1, got eps={eps}, eps_hi={eps_hi}")
+    check_thresholds(eps, eps_hi)
     if not (0.0 <= gamma_avg <= 1.0 and 0.0 <= b_avg <= 1.0):
         raise DomainError(f"averages must lie in [0, 1], got ({gamma_avg}, {b_avg})")
     if gamma_avg < eps and b_avg < eps:

@@ -6,6 +6,13 @@ many-oscillator observables to this case.  Truncation dimensions come from
 explicit tail bounds with a x2 safety margin, and every result records the
 dimension used: silent truncation is the main failure mode of Fock brute
 force.
+
+A second tail bound decides which of those levels the per-cell products and
+the trace norm run on.  The unitaries are built at the full guard dimension,
+but only the first K thermal levels enter Gamma and B, with K the smallest k
+whose dropped tail has 2 sum_{m >= k} sqrt(p_m) <= ``TRACE_TAIL_TOL``.
+Because the truncated unitaries are exactly unitary, this moves B by at most
+that tail and Gamma by at most sum_{m >= k} p_m; every result records K.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from .errors import ConfigurationError, TruncationError
 TAIL_TOL = 1.0e-10
 EIG_CLAMP = -1.0e-10
 PASS_TOL = 1.0e-5
+# Bound on the trace-norm change from the levels the oracle leaves out of a cell.
+TRACE_TAIL_TOL = 1.0e-17
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,12 @@ def thermal_populations(nbar: float, dim: int) -> np.ndarray:
     else:
         p = np.exp(n * math.log(nbar / (nbar + 1.0)) - math.log(nbar + 1.0))
     return p
+
+
+def kept_levels(p: np.ndarray, tol: float = TRACE_TAIL_TOL) -> int:
+    """Smallest k with 2 sum_{m >= k} sqrt(p_m) <= tol, for non-increasing populations p."""
+    tail = np.cumsum(np.sqrt(p)[::-1])[::-1]
+    return int(np.count_nonzero(2.0 * tail > tol))
 
 
 def thermal_fock(nbar: float, dim: int) -> FockState:
@@ -204,6 +219,19 @@ def b_closed(nbar: float, eta: complex, r: float = 0.0, theta: float = 0.0) -> f
     return _exp_normal(-abs(et) ** 2 / (2.0 * (2.0 * nbar + 1.0)))
 
 
+def gamma_b_on_levels(p: np.ndarray, s: np.ndarray | None, d: np.ndarray) -> tuple[float, float]:
+    """Gamma and B of rho0 = S P S^dag and the displacement D, on the first len(p) levels.
+
+    ``s`` holds the first len(p) columns of S (None for S = 1), so
+    X = S_K^dag (D S_K) costs O(dim^2 K).  Gamma = |sum_n p_n X_nn| and B is
+    the sum of the singular values of sqrt(P) X sqrt(P).
+    """
+    k = len(p)
+    x = d[:k, :k] if s is None else s.conj().T @ (d @ s)
+    sqrt_p = np.sqrt(p)
+    return float(abs(np.dot(p, np.diagonal(x)))), float(np.sum(svdvals(sqrt_p[:, None] * x * sqrt_p)))
+
+
 @dataclass(frozen=True)
 class ValidationCell:
     nbar: float
@@ -211,6 +239,7 @@ class ValidationCell:
     r: float
     theta: float
     dim: int
+    kept: int
     guard_ok: bool
     gamma_closed: float
     gamma_fock: float
@@ -284,12 +313,18 @@ def validate_closed_forms(
     exactly.  With X = S^dag D S for the displacement D,
     Gamma = |tr(D rho0)| = |sum_n p_n X_nn| and
     B = tr sqrt(sqrt(rho0) D rho0 D^dag sqrt(rho0)) is the sum of the singular
-    values of sqrt(P) X sqrt(P).  Only the levels with p_n > 0 enter, which
-    leaves a single one at nbar = 0.
+    values of sqrt(P) X sqrt(P).
 
-    Guard violations flag the cell (and fail the report) without aborting the
-    remaining cells.  Cells sharing an initial state share S; displacement
-    unitaries are cached by (eta, dim).
+    Only the first K = ``kept_levels(p)`` levels enter, one at nbar = 0.  X is
+    a compression of the unitary D, so ||X|| <= 1: a dropped row or column m
+    of sqrt(P) X sqrt(P) has 2-norm at most sqrt(p_m), and leaving out the
+    levels m >= K moves B by at most 2 sum_{m >= K} sqrt(p_m) <=
+    ``TRACE_TAIL_TOL`` and Gamma by at most sum_{m >= K} p_m.  D and S are
+    still built at the full guard dimension.
+
+    Guard violations flag the cell (and fail the report, with kept = 0)
+    without aborting the remaining cells.  Cells sharing an initial state
+    share S; displacement unitaries are cached by (eta, dim).
     """
     if grid is None:
         grid = default_grid()
@@ -313,10 +348,9 @@ def validate_closed_forms(
         dim = force_dim if force_dim is not None else max(auto_dim(nbar, e, r) for e in etas)
         try:
             p = thermal_populations(nbar, dim)
-            occupied = np.flatnonzero(p)
-            p = p[occupied]
-            sqrt_p = np.sqrt(p)
-            s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, occupied] if r > 0 else None
+            kept = kept_levels(p)
+            p = p[:kept]
+            s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
             state_err = None
         except TruncationError as exc:
             state_err = exc
@@ -325,18 +359,15 @@ def validate_closed_forms(
             bc = b_closed(nbar, eta, r, theta)
             if state_err is not None:
                 cell = ValidationCell(
-                    nbar, eta, r, theta, dim, False, gc, np.nan, bc, np.nan, note=str(state_err)
+                    nbar, eta, r, theta, dim, 0, False, gc, np.nan, bc, np.nan, note=str(state_err)
                 )
             else:
                 try:
-                    d = displacement(eta, dim)
-                    x = d[np.ix_(occupied, occupied)] if s is None else s.conj().T @ d @ s
-                    gf = float(abs(np.dot(p, np.diagonal(x))))
-                    bf = float(np.sum(svdvals(sqrt_p[:, None] * x * sqrt_p)))
-                    cell = ValidationCell(nbar, eta, r, theta, dim, True, gc, gf, bc, bf)
+                    gf, bf = gamma_b_on_levels(p, s, displacement(eta, dim))
+                    cell = ValidationCell(nbar, eta, r, theta, dim, kept, True, gc, gf, bc, bf)
                 except TruncationError as exc:
                     cell = ValidationCell(
-                        nbar, eta, r, theta, dim, False, gc, np.nan, bc, np.nan, note=str(exc)
+                        nbar, eta, r, theta, dim, 0, False, gc, np.nan, bc, np.nan, note=str(exc)
                     )
             results[(nbar, eta, r, theta)] = cell
 

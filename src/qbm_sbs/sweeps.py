@@ -29,6 +29,7 @@ from .observables import (
     DEFAULT_EPS,
     DEFAULT_EPS_HI,
     RegimeFlag,
+    check_thresholds,
     classify_regime,
     decoherence_factor,
     overlap_macrofraction,
@@ -202,6 +203,7 @@ def temperature_sweep(
         raise ConfigurationError(f"n_realizations must be >= 1, got {n_realizations}")
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    check_thresholds(eps, eps_hi)
 
     def run_cell(args):
         ti, ri = args

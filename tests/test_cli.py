@@ -131,7 +131,7 @@ class TestExitCodes:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
         assert read_data_rows(tmp_path / "oracle.csv")[0] == (
-            "nbar,abs_eta,r,theta,dim,guard_ok,gamma_closed,gamma_fock,gamma_dev,"
+            "nbar,abs_eta,r,theta,dim,kept,guard_ok,gamma_closed,gamma_fock,gamma_dev,"
             "b_closed,b_fock,b_dev,ok"
         )
 

@@ -14,12 +14,16 @@ from scipy.linalg import expm
 from qbm_sbs.dynamics import alpha_gaussian
 from qbm_sbs.errors import ConfigurationError, TruncationError
 from qbm_sbs.oracle import (
+    TRACE_TAIL_TOL,
     FockState,
     auto_dim,
     b_closed,
+    default_grid,
     displace_fock,
+    gamma_b_on_levels,
     gamma_closed,
     gamma_fock,
+    kept_levels,
     overlap_fock,
     required_displace_dim,
     required_squeeze_dim,
@@ -28,12 +32,16 @@ from qbm_sbs.oracle import (
     squeeze_parameter,
     squeezed_vacuum_tail,
     thermal_fock,
+    thermal_populations,
     validate_closed_forms,
 )
 
 # Both unitaries come from eigendecompositions of tridiagonal generators; the
 # dense matrix exponential of the same truncated generator is the reference.
 EXPM_TOL = 1e-11
+# Rounding allowed on top of the tail bound when the kept-level results are
+# compared with the all-level ones: two SVDs of different sizes.
+CUT_ROUNDING = 1e-15
 
 
 def _ladder(dim):
@@ -215,6 +223,7 @@ class TestValidationHarness:
         report = validate_closed_forms(grid=[(0.5, 1.0, 0.0, 0.0)], force_dim=8)
         assert not report.passed
         assert not report.cells[0].guard_ok
+        assert report.cells[0].kept == 0
         assert report.cells[0].note != ""
 
     def test_empty_grid_rejected(self):
@@ -239,6 +248,40 @@ class TestValidationHarness:
         displaced = FockState(dim=dim, matrix=d @ rho.matrix @ d.conj().T)
         assert cell.gamma_fock == pytest.approx(gamma_fock(rho, eta), abs=1e-12)
         assert cell.b_fock == pytest.approx(overlap_fock(rho, displaced), abs=1e-12)
+
+    def test_default_grid_keeps_fewer_levels(self):
+        report = validate_closed_forms()
+        assert report.passed
+        for c in report.cells:
+            p = thermal_populations(c.nbar, c.dim)
+            assert c.kept == kept_levels(p)
+            assert 2.0 * np.sqrt(p[c.kept :]).sum() <= TRACE_TAIL_TOL < 2.0 * np.sqrt(p[c.kept - 1 :]).sum()
+            if c.nbar == 0:
+                assert c.kept == 1
+            else:
+                assert 1 < c.kept < c.dim
+
+    @pytest.mark.parametrize(
+        "nbar, r, theta",
+        sorted({(nb, r, th) for nb, _, r, th in default_grid() if nb > 0}),
+    )
+    def test_cut_moves_results_within_tail_bound(self, nbar, r, theta):
+        # Gamma and B from the kept levels against all occupied levels, at the
+        # group's largest |eta|, which sets its dimension.  The looser
+        # tolerances make the bound, not rounding, the larger term.
+        eta = max(e for nb, e, rr, th in default_grid() if (nb, rr, th) == (nbar, r, theta))
+        dim = auto_dim(nbar, eta, r)
+        p = thermal_populations(nbar, dim)
+        s = squeeze_fock(squeeze_parameter(r, theta), dim) if r > 0 else None
+        d = displace_fock(eta, dim)
+        occupied = np.count_nonzero(p)
+        full = gamma_b_on_levels(p[:occupied], None if s is None else s[:, :occupied], d)
+        for tol in (TRACE_TAIL_TOL, 1e-8, 1e-4):
+            k = kept_levels(p, tol)
+            cut = gamma_b_on_levels(p[:k], None if s is None else s[:, :k], d)
+            assert k < occupied
+            assert abs(cut[0] - full[0]) <= p[k:].sum() + CUT_ROUNDING
+            assert abs(cut[1] - full[1]) <= 2.0 * np.sqrt(p[k:]).sum() + CUT_ROUNDING
 
     def test_auto_dim_covers_guards(self):
         for nbar, eta, r in [(0.0, 0.3, 0.0), (2.0, 2.0, 1.0)]:

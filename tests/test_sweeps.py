@@ -130,6 +130,18 @@ class TestTemperatureSweep:
         assert self.run(system, threads=12) == self.run(system, threads=1)
         assert sizes == [len(self.TEMPS) * 3]
 
+    @pytest.mark.parametrize("eps, eps_hi", [(0.5, 0.3), (0.0, 0.3), (0.05, 1.0)])
+    def test_bad_thresholds_rejected_before_any_cell(self, system, monkeypatch, eps, eps_hi):
+        calls = []
+        monkeypatch.setattr(sweeps, "time_average", lambda *args: calls.append(args))
+        with pytest.raises(ConfigurationError, match="0 < eps < eps_hi < 1"):
+            temperature_sweep(
+                make_spec(**SMALL), system, EnvInitialState(temperature=1.0), self.TEMPS,
+                n_realizations=3, tau=1e-5, n_time_samples=400, master_seed=77,
+                eps=eps, eps_hi=eps_hi,
+            )
+        assert calls == []
+
     def test_seed_changes_results(self, system):
         a = self.run(system, seed=77)
         b = self.run(system, seed=78)
