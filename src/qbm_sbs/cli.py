@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys as _sys
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from . import __version__, kernels
 from .constants import HBAR, KB
 from .errors import ConfigurationError, DomainError, QbmSbsError
 from .model import EnvInitialState, EnvironmentSpec, SqueezeAxis, SystemParams, sample_environment
+from .observables import check_thresholds
 from .oracle import validate_closed_forms
 from .sweeps import cell_seeds, position_squeezing_comparison, temperature_sweep, time_series
 
@@ -78,34 +80,9 @@ class RunConfig:
         except KeyError:
             raise AttributeError(key)
 
-    def system(self) -> SystemParams:
-        return SystemParams(
-            mass_M=self.values["mass_M"],
-            omega_big=self.values["omega_big"],
-            x_sep=self.values["x_sep"],
-            squeezing_axis=self.values["squeezing_axis"],
-        )
-
-    def environment_spec(self) -> EnvironmentSpec:
-        v = self.values
-        return EnvironmentSpec(
-            macrofraction_size=v["macrofraction_size"],
-            omega_low=v["omega_low"],
-            omega_high=v["omega_high"],
-            gamma0=v["gamma0"],
-            m_env=v["m_env"],
-            n_macrofractions=v["n_macrofractions"],
-            traced_size=v["traced_size"],
-        )
-
-    def env_state(self) -> EnvInitialState:
-        v = self.values
-        return EnvInitialState(
-            temperature=v["temperature"],
-            squeeze_r=v["squeeze_r"],
-            squeeze_theta=v["squeeze_theta"],
-            rot_psi=v["rot_psi"],
-        )
+    def params(self, cls):
+        """The parameter dataclass ``cls`` built from the config keys that name its fields."""
+        return cls(**{f.name: self.values[f.name] for f in fields(cls)})
 
     def temperature_grid(self) -> np.ndarray:
         v = self.values
@@ -144,7 +121,11 @@ def load_config(path: str | None, sets: list[str], seed: int | None, threads: in
         p = Path(path)
         if not p.is_file():
             raise ConfigurationError(f"config file not found: {path}")
-        for lineno, line in enumerate(p.read_text().splitlines(), 1):
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config file {path} is not UTF-8: {exc}") from exc
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if line:
                 items.append((f"{path}:{lineno}", line))
@@ -158,7 +139,9 @@ def load_config(path: str | None, sets: list[str], seed: int | None, threads: in
         if not eq:
             raise ConfigurationError(f"{origin}: expected key=value, got {item!r}")
         parsed[key] = _parse_value(key, raw)
-    return RunConfig({k: d for k, (_, d) in _SCHEMA.items()} | parsed, set(parsed))
+    config = RunConfig({k: d for k, (_, d) in _SCHEMA.items()} | parsed, set(parsed))
+    check_thresholds(config.eps, config.eps_hi)
+    return config
 
 
 def _fmt(value) -> str:
@@ -208,11 +191,11 @@ def _write_output(out_dir: Path, name: str, config: RunConfig, command: str, tab
 
 
 def cmd_timeseries(config: RunConfig, out_dir: Path) -> int:
-    sys_params = config.system()
+    sys_params = config.params(SystemParams)
     env_seed, _ = cell_seeds(config.seed, 0, 0)
-    realization = sample_environment(config.environment_spec(), sys_params, env_seed)
+    realization = sample_environment(config.params(EnvironmentSpec), sys_params, env_seed)
     series = time_series(
-        realization, sys_params, config.env_state(), config.t_max, config.n_points
+        realization, sys_params, config.params(EnvInitialState), config.t_max, config.n_points
     )
     table = {"t_seconds": series.times, "gamma_abs": series.gamma, "b_mac": series.b}
     _write_output(out_dir, "timeseries", config, "timeseries", table)
@@ -221,9 +204,9 @@ def cmd_timeseries(config: RunConfig, out_dir: Path) -> int:
 
 def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     rows = temperature_sweep(
-        config.environment_spec(),
-        config.system(),
-        config.env_state(),
+        config.params(EnvironmentSpec),
+        config.params(SystemParams),
+        config.params(EnvInitialState),
         config.temperature_grid(),
         n_realizations=config.n_realizations,
         tau=config.tau,
@@ -270,9 +253,9 @@ def cmd_compare_squeezing(config: RunConfig, out_dir: Path) -> int:
             "compare-squeezing always runs both axes; do not set squeezing_axis"
         )
     cmp = position_squeezing_comparison(
-        config.environment_spec(),
-        config.system(),
-        config.env_state(),
+        config.params(EnvironmentSpec),
+        config.params(SystemParams),
+        config.params(EnvInitialState),
         tau=config.tau,
         n_time_samples=config.n_time_samples,
         t_max=config.t_max,

@@ -18,6 +18,7 @@ that tail and Gamma by at most sum_{m >= k} p_m; every result records K.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -335,40 +336,26 @@ def validate_closed_forms(
     for nbar, eta_abs, r, theta in grid:
         groups.setdefault((nbar, r, theta), []).append(complex(eta_abs))
 
-    disp_cache: dict[tuple[complex, int], np.ndarray] = {}
-
-    def displacement(eta: complex, dim: int) -> np.ndarray:
-        key = (eta, dim)
-        if key not in disp_cache:
-            disp_cache[key] = displace_fock(eta, dim)
-        return disp_cache[key]
-
+    displace = functools.cache(displace_fock)
     results: dict[tuple[float, complex, float, float], ValidationCell] = {}
     for (nbar, r, theta), etas in groups.items():
         dim = force_dim if force_dim is not None else max(auto_dim(nbar, e, r) for e in etas)
-        try:
-            p = thermal_populations(nbar, dim)
-            kept = kept_levels(p)
-            p = p[:kept]
-            s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
-            state_err = None
-        except TruncationError as exc:
-            state_err = exc
+        state = None  # (p, s) on the kept levels, built once per group; a guard failure flags every cell
         for eta in etas:
             gc = gamma_closed(nbar, eta, r, theta)
             bc = b_closed(nbar, eta, r, theta)
-            if state_err is not None:
+            try:
+                if state is None:
+                    p = thermal_populations(nbar, dim)
+                    kept = kept_levels(p)
+                    s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
+                    state = p[:kept], s
+                gf, bf = gamma_b_on_levels(*state, displace(eta, dim))
+                cell = ValidationCell(nbar, eta, r, theta, dim, kept, True, gc, gf, bc, bf)
+            except TruncationError as exc:
                 cell = ValidationCell(
-                    nbar, eta, r, theta, dim, 0, False, gc, np.nan, bc, np.nan, note=str(state_err)
+                    nbar, eta, r, theta, dim, 0, False, gc, np.nan, bc, np.nan, note=str(exc)
                 )
-            else:
-                try:
-                    gf, bf = gamma_b_on_levels(p, s, displacement(eta, dim))
-                    cell = ValidationCell(nbar, eta, r, theta, dim, kept, True, gc, gf, bc, bf)
-                except TruncationError as exc:
-                    cell = ValidationCell(
-                        nbar, eta, r, theta, dim, 0, False, gc, np.nan, bc, np.nan, note=str(exc)
-                    )
             results[(nbar, eta, r, theta)] = cell
 
     cells = [results[(nbar, complex(e), r, theta)] for nbar, e, r, theta in grid]

@@ -56,8 +56,6 @@ class TimeAverageResult:
     gamma_drift: float  # |full - half| of the estimate
     b_drift: float
     converged: bool
-    n_samples: int
-    tau: float
     warning: str | None = None
 
 
@@ -93,11 +91,31 @@ class SqueezingComparison:
 
     @property
     def mean_ratio(self) -> float:
-        return math.fsum(r.ratio for r in self.rows) / len(self.rows)
+        return _mean_stderr([r.ratio for r in self.rows])[0]
 
     @property
     def mean_revival_position(self) -> float:
-        return math.fsum(r.revival_position for r in self.rows) / len(self.rows)
+        return _mean_stderr([r.revival_position for r in self.rows])[0]
+
+
+def _mean_stderr(values: list[float]) -> tuple[float, float]:
+    """Ensemble mean and standard error (0 for one value, inf if the spread overflows), by fsum."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    if n == 1:
+        return mean, 0.0
+    try:
+        return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1) / n)
+    except OverflowError:
+        return mean, math.inf
+
+
+def _gamma_and_b(
+    realization: EnvironmentRealization, sys: SystemParams, env_state: EnvInitialState, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|Gamma| of the traced fraction and B of the first macro-fraction at the times t."""
+    gamma = decoherence_factor(realization.traced, sys, env_state, t)
+    return gamma, overlap_macrofraction(realization.macrofractions[0], sys, env_state, t)
 
 
 def time_series(
@@ -113,14 +131,15 @@ def time_series(
             f"need n_points >= 2 and a finite t_max > 0, got {n_points}, {t_max}"
         )
     t = np.linspace(0.0, t_max, n_points)
-    gamma = decoherence_factor(realization.traced, sys, env_state, t)
-    b = overlap_macrofraction(realization.macrofractions[0], sys, env_state, t)
+    gamma, b = _gamma_and_b(realization, sys, env_state, t)
     return TimeSeries(times=t, gamma=gamma, b=b)
 
 
-def _drift_converged(full: float, half: float) -> tuple[float, bool]:
+def _sample_mean(x: np.ndarray) -> tuple[float, float, bool]:
+    """Mean of i.i.d. samples, its drift from the mean of every other sample, and drift <= tolerance."""
+    full, half = float(x.mean()), float(x[::2].mean())
     drift = abs(full - half)
-    return drift, drift <= max(CONV_REL * max(abs(full), abs(half)), CONV_ABS)
+    return full, drift, drift <= max(CONV_REL * max(abs(full), abs(half)), CONV_ABS)
 
 
 def sample_times(tau: float, n: int, seed: int) -> np.ndarray:
@@ -148,23 +167,11 @@ def time_average(
             f"tau={tau:g}s is shorter than {TRANSIENT_PERIODS} system periods; "
             "the average is dominated by the transient"
         )
-    gamma = decoherence_factor(realization.traced, sys, env_state, t)
-    b = overlap_macrofraction(realization.macrofractions[0], sys, env_state, t)
-    # Half-sample estimate on every other sample, an unbiased subset of the
-    # i.i.d. draws.
-    g_full, b_full = float(gamma.mean()), float(b.mean())
-    g_half, b_half = float(gamma[::2].mean()), float(b[::2].mean())
-    g_drift, g_ok = _drift_converged(g_full, g_half)
-    b_drift, b_ok = _drift_converged(b_full, b_half)
+    gamma, b = _gamma_and_b(realization, sys, env_state, t)
+    (g_avg, g_drift, g_ok), (b_avg, b_drift, b_ok) = _sample_mean(gamma), _sample_mean(b)
     return TimeAverageResult(
-        gamma_avg=g_full,
-        b_avg=b_full,
-        gamma_drift=g_drift,
-        b_drift=b_drift,
-        converged=g_ok and b_ok,
-        n_samples=len(t),
-        tau=tau,
-        warning=warning,
+        gamma_avg=g_avg, b_avg=b_avg, gamma_drift=g_drift, b_drift=b_drift,
+        converged=g_ok and b_ok, warning=warning,
     )
 
 
@@ -213,27 +220,14 @@ def temperature_sweep(
         return time_average(realization, sys, state, tau, n_time_samples, time_seed)
 
     cells = [(ti, ri) for ti in range(len(temperatures)) for ri in range(n_realizations)]
-    workers = min(threads, len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(run_cell, cells))
-    else:
-        flat = [run_cell(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+        flat = list(pool.map(run_cell, cells))
 
     rows = []
     for ti, temp in enumerate(temperatures):
         res = flat[ti * n_realizations : (ti + 1) * n_realizations]
-        g_mean = math.fsum(r.gamma_avg for r in res) / n_realizations
-        b_mean = math.fsum(r.b_avg for r in res) / n_realizations
-        if n_realizations > 1:
-            g_err = math.sqrt(
-                math.fsum((r.gamma_avg - g_mean) ** 2 for r in res) / (n_realizations - 1) / n_realizations
-            )
-            b_err = math.sqrt(
-                math.fsum((r.b_avg - b_mean) ** 2 for r in res) / (n_realizations - 1) / n_realizations
-            )
-        else:
-            g_err = b_err = 0.0
+        g_mean, g_err = _mean_stderr([r.gamma_avg for r in res])
+        b_mean, b_err = _mean_stderr([r.b_avg for r in res])
         rows.append(
             SweepRow(
                 temperature=float(temp),

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from qbm_sbs import cli
 from qbm_sbs.cli import _SCHEMA, load_config, main
 from qbm_sbs.errors import ConfigurationError
+from qbm_sbs.model import EnvInitialState, EnvironmentSpec, SystemParams
 
 FAST_TS = [
     "--set", "n_points=50",
@@ -70,6 +72,18 @@ class TestConfigLoading:
         cfg = load_config(str(p), [], 99, 8)
         assert cfg.seed == 99 and cfg.threads == 8
 
+    def test_params_builds_each_type_from_its_field_names(self):
+        cfg = load_config(None, [], None, None)
+        for cls in (SystemParams, EnvironmentSpec, EnvInitialState):
+            names = [f.name for f in fields(cls)]
+            assert set(names) <= set(_SCHEMA), cls
+            assert cfg.params(cls) == cls(**{name: _SCHEMA[name][1] for name in names})
+
+    def test_file_is_read_as_utf8(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes("# temp\u00e9rature\ntemperature=0.5\n".encode())
+        assert load_config(str(p), [], None, None).temperature == 0.5
+
 
 class TestTimeseriesCommand:
     def test_initial_row_is_unity(self, tmp_path):
@@ -114,6 +128,22 @@ class TestExitCodes:
             assert code == 2
             assert "cannot parse squeezing_axis" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("command", ["timeseries", "oracle"])
+    def test_bad_thresholds_are_config_error_for_every_command(self, tmp_path, capsys, command):
+        args = ["--set", "eps=0.5", "--set", "eps_hi=0.3", *FAST_TS, command]
+        assert main(["--out", str(tmp_path), *args]) == 2
+        assert "0 < eps < eps_hi < 1" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"temperature=0.5\n\xff\xfe=1\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(p), "--out", str(out), *FAST_TS, "timeseries"]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and str(p) in err
+        assert not out.exists()
 
     def test_compare_squeezing_rejects_explicit_axis(self, tmp_path, capsys):
         code = main(

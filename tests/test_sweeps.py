@@ -8,6 +8,7 @@ from qbm_sbs import kernels, sweeps
 from qbm_sbs.errors import ConfigurationError
 from qbm_sbs.model import EnvInitialState, SystemParams, sample_environment
 from qbm_sbs.sweeps import (
+    _mean_stderr,
     cell_seeds,
     position_squeezing_comparison,
     sample_times,
@@ -128,7 +129,18 @@ class TestTemperatureSweep:
 
         monkeypatch.setattr(sweeps, "ThreadPoolExecutor", pool)
         assert self.run(system, threads=12) == self.run(system, threads=1)
-        assert sizes == [len(self.TEMPS) * 3]
+        assert sizes == [len(self.TEMPS) * 3, 1]
+
+    def test_one_thread_runs_a_one_worker_pool(self, system, monkeypatch):
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(sweeps, "ThreadPoolExecutor", pool)
+        self.run(system, threads=1)
+        assert sizes == [1]
 
     @pytest.mark.parametrize("eps, eps_hi", [(0.5, 0.3), (0.0, 0.3), (0.05, 1.0)])
     def test_bad_thresholds_rejected_before_any_cell(self, system, monkeypatch, eps, eps_hi):
@@ -233,3 +245,13 @@ class TestSqueezingComparison:
                 n_realizations=1,
                 master_seed=0,
             )
+
+
+def test_mean_stderr_is_the_sample_formula_and_survives_overflow():
+    values = [0.1, 0.2, 0.6]
+    mean, err = _mean_stderr(values)
+    assert mean == pytest.approx(0.3)
+    assert err == pytest.approx(np.std(values, ddof=1) / math.sqrt(len(values)))
+    assert _mean_stderr([0.5]) == (0.5, 0.0)
+    # Squeezing-axis ratios reach 1e238 at T = 2 K; their spread squared overflows.
+    assert _mean_stderr([1e200, 3e200]) == (2e200, math.inf)
