@@ -46,11 +46,9 @@ _SCHEMA: dict[str, tuple] = {
     "omega_low": (float, 3.0e9),
     "omega_high": (float, 6.0e9),
     "gamma0": (float, 0.33e18),
-    "m_env": (float, 1.0e-25),
     "temperature": (float, 1.0e-2),
     "squeeze_r": (float, 0.0),
     "squeeze_theta": (float, 0.0),
-    "rot_psi": (float, 0.0),
     "seed": (int, 20260823),
     "threads": (int, 1),
     "t_max": (float, 2.2e-8),
@@ -122,7 +120,7 @@ def load_config(path: str | None, sets: list[str], seed: int | None, threads: in
         if not p.is_file():
             raise ConfigurationError(f"config file not found: {path}")
         try:
-            text = p.read_text(encoding="utf-8")
+            text = p.read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not UTF-8: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -276,7 +274,7 @@ def cmd_compare_squeezing(config: RunConfig, out_dir: Path) -> int:
     _write_output(out_dir, "compare_report", config, "compare-squeezing", report)
     print(
         f"revival window [{cmp.revival_window[0]:.3g}, {cmp.revival_window[1]:.3g}] s, "
-        f"mean revival(position) = {cmp.mean_revival_position:.4f}, mean ratio = {cmp.mean_ratio:.3g}"
+        f"mean revival(position) = {cmp.mean_revival_position:.4f}, median ratio = {cmp.median_ratio:.3g}"
     )
     return EXIT_OK
 

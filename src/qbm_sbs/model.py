@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 DEFAULT_RESONANCE_RATIO = 5.0
+BATH_MASS = 1.0e-25  # kg; it cancels, since coupling_constant makes C_k^2 proportional to it
 
 
 def _require_finite(error: type[Exception], **values: float) -> None:
@@ -98,7 +99,6 @@ class EnvironmentSpec:
     omega_low: float  # rad/s
     omega_high: float  # rad/s
     gamma0: float  # s^-4, coupling scale
-    m_env: float  # kg, common bath mass
     n_macrofractions: int
     traced_size: int
 
@@ -108,7 +108,6 @@ class EnvironmentSpec:
             omega_low=self.omega_low,
             omega_high=self.omega_high,
             gamma0=self.gamma0,
-            m_env=self.m_env,
         )
         if not 0 < self.omega_low <= self.omega_high:
             raise ConfigurationError(
@@ -116,8 +115,6 @@ class EnvironmentSpec:
             )
         if self.gamma0 <= 0:
             raise ConfigurationError(f"gamma0 must be > 0, got {self.gamma0}")
-        if self.m_env <= 0:
-            raise ConfigurationError(f"m_env must be > 0, got {self.m_env}")
         if min(self.traced_size, self.macrofraction_size, self.n_macrofractions) < 1:
             raise ConfigurationError("traced_size, macrofraction_size and n_macrofractions must be >= 1")
 
@@ -139,13 +136,13 @@ class EnvInitialState:
     """Thermal temperature plus optional single-mode Gaussian parameters.
 
     A displacement of the initial bath state is not a parameter: it only
-    contributes phases that the modulus removes.
+    contributes phases that the modulus removes.  Neither is a phase-space
+    rotation by psi: it enters only as squeeze_theta + 2 psi.
     """
 
     temperature: float  # K
     squeeze_r: float = 0.0
     squeeze_theta: float = 0.0
-    rot_psi: float = 0.0
 
     def __post_init__(self):
         _require_finite(
@@ -153,7 +150,6 @@ class EnvInitialState:
             temperature=self.temperature,
             squeeze_r=self.squeeze_r,
             squeeze_theta=self.squeeze_theta,
-            rot_psi=self.rot_psi,
         )
         if self.temperature < 0:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
@@ -183,11 +179,9 @@ def coupling_constant(mass_M: float, m_k: float, gamma0: float) -> float:
     return c
 
 
-def is_off_resonant(omega: float, omega_big: float, ratio: float = DEFAULT_RESONANCE_RATIO) -> bool:
-    """True if omega is outside the resonant band [omega_big/ratio, omega_big*ratio]."""
-    if ratio <= 1:
-        raise ConfigurationError(f"resonance ratio must be > 1, got {ratio}")
-    return omega < omega_big / ratio or omega > omega_big * ratio
+def is_off_resonant(omega: float, omega_big: float) -> bool:
+    """True if omega is outside the resonant band around omega_big (``DEFAULT_RESONANCE_RATIO``)."""
+    return omega < omega_big / DEFAULT_RESONANCE_RATIO or omega > omega_big * DEFAULT_RESONANCE_RATIO
 
 
 def sample_environment(spec: EnvironmentSpec, sys: SystemParams, seed: int) -> EnvironmentRealization:
@@ -207,14 +201,14 @@ def sample_environment(spec: EnvironmentSpec, sys: SystemParams, seed: int) -> E
             f"(off-resonance ratio {DEFAULT_RESONANCE_RATIO:g})"
         )
     omega = np.random.default_rng(seed).uniform(lo, hi, spec.n_total)
-    c = coupling_constant(sys.mass_M, spec.m_env, spec.gamma0)
-    # 2 m_env omega can overflow to inf (pref 0) or underflow to 0 (pref inf or NaN).
+    c = coupling_constant(sys.mass_M, BATH_MASS, spec.gamma0)
+    # The coupling can underflow to 0 (pref 0) and 2 m omega to 0 (pref inf or NaN).
     with np.errstate(all="ignore"):
-        pref = c / (2.0 * np.sqrt(2.0 * spec.m_env * omega))
+        pref = c / (2.0 * np.sqrt(2.0 * BATH_MASS * omega))
     if not np.all((pref > 0) & (pref < math.inf)):
         raise DomainError(
-            f"bath prefactor C / (2 sqrt(2 m_env omega)) is not finite and > 0 for "
-            f"m_env={spec.m_env}, omega in [{lo:g}, {hi:g}], coupling {c}"
+            f"bath prefactor C / (2 sqrt(2 m omega)) is not finite and > 0 for "
+            f"omega in [{lo:g}, {hi:g}], coupling {c}"
         )
     bath = Modes(omega, pref)
     start, size = spec.traced_size, spec.macrofraction_size

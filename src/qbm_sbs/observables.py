@@ -47,8 +47,6 @@ def _exponent_sum(
     """Positive exponent sum_k (dX^2 / 2 hbar) |alpha~_k(t)|^2 weight_k."""
     if len(fraction) == 0:
         raise DomainError("oscillator fraction must be non-empty")
-    if env_state.temperature < 0:
-        raise DomainError(f"temperature must be >= 0, got {env_state.temperature}")
     axis = kernels.AXIS_MOMENTUM if sys.squeezing_axis is SqueezeAxis.MOMENTUM else kernels.AXIS_POSITION
     times = np.atleast_1d(np.asarray(t, dtype=float))
     # x_sep is squared as a numpy scalar, which overflows to inf where a Python
@@ -66,7 +64,7 @@ def _exponent_sum(
             axis,
             env_state.squeeze_r,
             env_state.squeeze_theta,
-            env_state.rot_psi,
+            0.0,  # psi: a rotation of the bath state only shifts squeeze_theta
         )
         ex = np.float64(sys.x_sep) ** 2 / (2.0 * HBAR) * sums
     if not np.isfinite(ex).all():

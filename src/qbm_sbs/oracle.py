@@ -64,14 +64,14 @@ def _exp_tridiagonal(z: complex, c: np.ndarray) -> np.ndarray:
     return u.real.copy() if z.imag == 0 else u
 
 
-def required_thermal_dim(nbar: float, tol: float = TAIL_TOL) -> int:
-    """Smallest dim whose neglected thermal tail mass is below tol."""
+def required_thermal_dim(nbar: float) -> int:
+    """Smallest dim whose neglected thermal tail mass is below ``TAIL_TOL``."""
     if nbar < 0:
         raise TruncationError(f"nbar must be >= 0, got {nbar}")
     if nbar == 0:
         return 1
     q = nbar / (nbar + 1.0)
-    return max(1, math.ceil(math.log(tol) / math.log(q)))
+    return max(1, math.ceil(math.log(TAIL_TOL) / math.log(q)))
 
 
 def thermal_populations(nbar: float, dim: int) -> np.ndarray:
@@ -133,9 +133,9 @@ def squeezed_vacuum_tail(r: float, n_keep: int) -> float:
     return max(0.0, 1.0 - total)
 
 
-def required_squeeze_dim(r: float, tol: float = TAIL_TOL) -> int:
+def required_squeeze_dim(r: float) -> int:
     dim = 16
-    while squeezed_vacuum_tail(r, dim // 2) >= tol:
+    while squeezed_vacuum_tail(r, dim // 2) >= TAIL_TOL:
         dim *= 2
         if dim > 1 << 16:
             raise TruncationError(f"no practical truncation for squeezing r={r}")

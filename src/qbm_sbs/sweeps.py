@@ -90,8 +90,9 @@ class SqueezingComparison:
     revival_window: tuple[float, float]
 
     @property
-    def mean_ratio(self) -> float:
-        return _mean_stderr([r.ratio for r in self.rows])[0]
+    def median_ratio(self) -> float:
+        # The ratios can span hundreds of decades, where a mean reports the largest one.
+        return float(np.median([r.ratio for r in self.rows]))
 
     @property
     def mean_revival_position(self) -> float:

@@ -31,7 +31,6 @@ def make_spec(macrofraction_size=30, n_macrofractions=1, traced_size=30):
         omega_low=OMEGA_LOW,
         omega_high=OMEGA_HIGH,
         gamma0=GAMMA0,
-        m_env=M_ENV,
         n_macrofractions=n_macrofractions,
         traced_size=traced_size,
     )

@@ -205,18 +205,20 @@ def test_4_position_squeezing_revival(sys_mom):
 
 def test_5_gaussian_extension(sys_mom, sweep30_thermal):
     """Strong bath squeezing extends broadcast formation to T = 1 K, and the
-    unsqueezed Gaussian state reproduces the thermal sweep bit for bit."""
+    unsqueezed Gaussian state, whatever its squeezing angle, reproduces the
+    thermal sweep bit for bit."""
     squeezed = EnvInitialState(temperature=1.0, squeeze_r=5.0, squeeze_theta=math.pi)
     row = run_sweep(sys_mom, 30, squeezed, np.array([1.0]))[0]
     ok_sbs = row.regime is RegimeFlag.SBS
-    baseline = run_sweep(sys_mom, 30, EnvInitialState(temperature=1.0, squeeze_r=0.0))
+    unsqueezed = EnvInitialState(temperature=1.0, squeeze_r=0.0, squeeze_theta=math.pi)
+    baseline = run_sweep(sys_mom, 30, unsqueezed)
     ok_identity = baseline == sweep30_thermal
     report(
         "5 (Gaussian extension)",
         ok_sbs and ok_identity,
         f"r=5, theta=pi at 1 K: gamma_avg = {row.gamma_avg:.2e}, "
         f"b_avg = {row.b_avg:.2e}, regime = {row.regime.value}; "
-        f"r=0 sweep identical to thermal sweep: {ok_identity}",
+        f"r=0, theta=pi sweep identical to thermal sweep: {ok_identity}",
     )
     assert ok_sbs
     assert ok_identity

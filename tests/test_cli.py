@@ -54,7 +54,7 @@ class TestConfigLoading:
         assert cfg.provided == {"temperature", "seed"}
 
     def test_unknown_key_rejected(self):
-        for item in ("bogus=1", "time_sampler=random"):
+        for item in ("bogus=1", "time_sampler=random", "m_env=1e-25", "rot_psi=0.0"):
             with pytest.raises(ConfigurationError, match="unknown configuration key"):
                 load_config(None, [item], None, None)
 
@@ -82,6 +82,11 @@ class TestConfigLoading:
     def test_file_is_read_as_utf8(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_bytes("# temp\u00e9rature\ntemperature=0.5\n".encode())
+        assert load_config(str(p), [], None, None).temperature == 0.5
+
+    def test_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"\xef\xbb\xbftemperature=0.5\n")
         assert load_config(str(p), [], None, None).temperature == 0.5
 
 
@@ -223,8 +228,8 @@ class TestExitCodes:
         assert list(tmp_path.rglob("*.csv")) == []
 
     def test_overflowing_bath_prefactor_is_config_error(self, tmp_path, capsys):
-        # 2 m_env omega overflows while the coupling stays finite: every prefactor is 0.
-        args = ["--set", "m_env=1e308", "--set", "mass_M=1e-300", "timeseries"]
+        # The coupling underflows to 0, so every prefactor is 0.
+        args = ["--set", "mass_M=1e-300", "--set", "gamma0=1e-300", "timeseries"]
         assert main(["--out", str(tmp_path), *FAST_TS, *args]) == 2
         assert "bath prefactor" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []

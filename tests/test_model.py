@@ -5,6 +5,7 @@ import pytest
 
 from qbm_sbs.errors import ConfigurationError, DomainError
 from qbm_sbs.model import (
+    BATH_MASS,
     EnvInitialState,
     EnvironmentSpec,
     Oscillator,
@@ -14,7 +15,7 @@ from qbm_sbs.model import (
     sample_environment,
 )
 
-from conftest import GAMMA0, M_ENV, MASS_M, make_spec
+from conftest import GAMMA0, M_ENV, MASS_M, OMEGA_HIGH, OMEGA_LOW, make_spec
 
 
 class TestCouplingConstant:
@@ -29,6 +30,9 @@ class TestCouplingConstant:
     def test_csq_over_mass_independent_of_mass(self, m_k):
         c = coupling_constant(MASS_M, m_k, GAMMA0)
         assert c**2 / m_k == pytest.approx(4.0 * MASS_M * GAMMA0 / math.pi, rel=1e-12)
+
+    def test_oscillator_tests_use_the_bath_mass(self):
+        assert M_ENV == BATH_MASS
 
     def test_scale_covariance(self):
         lam = 3.7
@@ -76,7 +80,6 @@ class TestTypes:
             "temperature": (math.nan, math.inf),
             "squeeze_r": (math.nan, math.inf),
             "squeeze_theta": (math.nan, -math.inf),
-            "rot_psi": (math.nan, math.inf),
         }
         for field, values in bad_values.items():
             for bad in values:
@@ -87,7 +90,7 @@ class TestTypes:
         with pytest.raises(ConfigurationError, match="macrofraction_size"):
             make_spec(macrofraction_size=0)
 
-    @pytest.mark.parametrize("field", ["omega_low", "omega_high", "gamma0", "m_env"])
+    @pytest.mark.parametrize("field", ["omega_low", "omega_high", "gamma0"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_spec_non_finite_rejected(self, field, bad):
         values = dict(
@@ -95,7 +98,6 @@ class TestTypes:
             omega_low=3e9,
             omega_high=6e9,
             gamma0=GAMMA0,
-            m_env=M_ENV,
             n_macrofractions=1,
             traced_size=30,
         )
@@ -118,7 +120,6 @@ class TestSampling:
             omega_low=1e8,
             omega_high=6e9,
             gamma0=GAMMA0,
-            m_env=M_ENV,
             n_macrofractions=1,
             traced_size=30,
         )
@@ -144,15 +145,15 @@ class TestSampling:
             assert is_off_resonant(w, system.omega_big)
 
     @pytest.mark.parametrize(
-        "mass_M,m_env,gamma0",
-        [(1e-300, 1e308, GAMMA0), (1e-300, 1e-300, 1e-300)],
-        ids=["2 m_env omega overflows", "coupling underflows to 0"],
+        "mass_M,gamma0,omega_low,omega_high",
+        [(MASS_M, GAMMA0, 1e-320, 1e-310), (1e-300, 1e-300, OMEGA_LOW, OMEGA_HIGH)],
+        ids=["2 m omega underflows", "coupling underflows to 0"],
     )
-    def test_degenerate_prefactor_rejected(self, mass_M, m_env, gamma0):
+    def test_degenerate_prefactor_rejected(self, mass_M, gamma0, omega_low, omega_high):
         sys = SystemParams(mass_M=mass_M, omega_big=3e8, x_sep=1e-9)
         spec = EnvironmentSpec(
-            macrofraction_size=4, omega_low=3e9, omega_high=6e9, gamma0=gamma0,
-            m_env=m_env, n_macrofractions=1, traced_size=4,
+            macrofraction_size=4, omega_low=omega_low, omega_high=omega_high, gamma0=gamma0,
+            n_macrofractions=1, traced_size=4,
         )
         with pytest.raises(DomainError, match="bath prefactor"):
             sample_environment(spec, sys, 0)

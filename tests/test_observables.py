@@ -102,7 +102,7 @@ class TestStructure:
 
     def test_rotation_without_squeezing_is_invisible(self, system, realization):
         base = EnvInitialState(temperature=1e-2)
-        rotated = EnvInitialState(temperature=1e-2, rot_psi=1.234, squeeze_theta=0.7)
+        rotated = EnvInitialState(temperature=1e-2, squeeze_theta=0.7)
         g0 = decoherence_factor(realization.traced, system, base, T_GRID)
         g1 = decoherence_factor(realization.traced, system, rotated, T_GRID)
         np.testing.assert_array_equal(g0, g1)

@@ -25,6 +25,7 @@ def _load(name: str):
 
 tracer = _load("tracer")
 run = _load("run")
+probe = _load("probe")
 
 
 def test_every_trace_point_resolves():
@@ -55,3 +56,9 @@ def test_traced_oracle_records_both_unitaries():
     assert report.passed
     names = [s.name for s in t.spans]
     assert "oracle.displace_fock" in names and "oracle.squeeze_fock" in names
+
+
+def test_kernel_probe_agrees_with_the_dynamics_reference():
+    metrics, failures = probe.run_probe(0)
+    assert failures == []
+    assert metrics["kernels.probe.max_rel_dev"] <= probe.REL_TOL

@@ -8,6 +8,8 @@ from qbm_sbs import kernels, sweeps
 from qbm_sbs.errors import ConfigurationError
 from qbm_sbs.model import EnvInitialState, SystemParams, sample_environment
 from qbm_sbs.sweeps import (
+    SqueezingComparison,
+    SqueezingComparisonRow,
     _mean_stderr,
     cell_seeds,
     position_squeezing_comparison,
@@ -230,7 +232,15 @@ class TestSqueezingComparison:
     def test_identical_axes_give_unit_ratio(self, system):
         cmp = self.run(system, x_sep=0.0)
         assert all(r.ratio == 1.0 for r in cmp.rows)
-        assert cmp.mean_ratio == 1.0
+        assert cmp.median_ratio == 1.0
+
+    def test_summary_ratio_is_the_median(self):
+        rows = tuple(
+            SqueezingComparisonRow(i, 1.0, 1.0, ratio, 1.0, 1.0)
+            for i, ratio in enumerate([1.0, 2.0, 1e200])
+        )
+        cmp = SqueezingComparison(rows, series_position=None, series_momentum=None, revival_window=(0.0, 1.0))
+        assert cmp.median_ratio == 2.0
 
     def test_empty_window_rejected(self, system):
         with pytest.raises(ConfigurationError):
