@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .constants import HBAR, KB
-from .errors import ConfigurationError, DomainError, QbmSbsError
+from .errors import ConfigurationError, QbmSbsError
 from .model import EnvInitialState, EnvironmentSpec, SqueezeAxis, SystemParams, sample_environment
 from .observables import check_thresholds
 from .oracle import validate_closed_forms
@@ -216,7 +216,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     )
     table = _table(
         rows, "T_kelvin=temperature", "gamma_avg", "gamma_stderr", "b_avg", "b_stderr",
-        "regime", "n_samples=n_time_samples", "tau_seconds=tau",
+        "regime",
     )
     _write_output(out_dir, "sweep", config, "sweep", table)
     return EXIT_OK
@@ -313,11 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, args.set, args.seed, args.threads)
         return _COMMANDS[args.command](config, Path(args.out))
-    except (ConfigurationError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
     except QbmSbsError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        print(f"configuration error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)

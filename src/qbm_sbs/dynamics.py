@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ResonanceError
-from .model import Oscillator, SqueezeAxis, SystemParams
+from .model import Oscillator, SystemParams
 
 # Guard against floating-point blowup of the 1/(omega - Omega) denominator.
 RESONANCE_FLOOR = 1.0e3  # rad/s

@@ -56,6 +56,8 @@ class SystemParams:
             raise DomainError(f"omega_big must be > 0, got {self.omega_big}")
         if self.x_sep < 0:
             raise DomainError(f"x_sep must be >= 0, got {self.x_sep}")
+        if not isinstance(self.squeezing_axis, SqueezeAxis):
+            raise DomainError(f"squeezing_axis must be a SqueezeAxis, got {self.squeezing_axis!r}")
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,11 @@ class Oscillator:
     coupling: float  # SI, fixed by the bilinear position-position interaction
 
     def __post_init__(self):
+        _require_finite(DomainError, omega=self.omega, mass=self.mass, coupling=self.coupling)
         if self.omega <= 0:
             raise DomainError(f"omega must be > 0, got {self.omega}")
         if self.mass <= 0:
             raise DomainError(f"mass must be > 0, got {self.mass}")
-        if not math.isfinite(self.coupling):
-            raise DomainError(f"coupling must be finite, got {self.coupling}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +178,6 @@ def coupling_constant(mass_M: float, m_k: float, gamma0: float) -> float:
     if not math.isfinite(c):
         raise DomainError(f"coupling constant overflows for M={mass_M}, m_k={m_k}, gamma0={gamma0}")
     return c
-
-
-def is_off_resonant(omega: float, omega_big: float) -> bool:
-    """True if omega is outside the resonant band around omega_big (``DEFAULT_RESONANCE_RATIO``)."""
-    return omega < omega_big / DEFAULT_RESONANCE_RATIO or omega > omega_big * DEFAULT_RESONANCE_RATIO
 
 
 def sample_environment(spec: EnvironmentSpec, sys: SystemParams, seed: int) -> EnvironmentRealization:

@@ -75,28 +75,20 @@ def _exponent_sum(
     return ex
 
 
-def decoherence_factor(
-    fraction: Modes,
-    sys: SystemParams,
-    env_state: EnvInitialState,
-    t,
-):
+def _factor(fraction: Modes, sys: SystemParams, env_state: EnvInitialState, t, kind: str):
+    """exp(-exponent sum) with the ``kind`` weight; scalar t gives a scalar."""
+    out = np.exp(-_exponent_sum(fraction, sys, env_state, t, kind))
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def decoherence_factor(fraction: Modes, sys: SystemParams, env_state: EnvInitialState, t):
     """|Gamma(t)| due to the traced bath fraction; scalar t gives a scalar."""
-    ex = _exponent_sum(fraction, sys, env_state, t, "coth")
-    out = np.exp(-ex)
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return _factor(fraction, sys, env_state, t, "coth")
 
 
-def overlap_macrofraction(
-    mac: Modes,
-    sys: SystemParams,
-    env_state: EnvInitialState,
-    t,
-):
+def overlap_macrofraction(mac: Modes, sys: SystemParams, env_state: EnvInitialState, t):
     """Generalized overlap B(t) of the macro-fraction records of the two branches."""
-    ex = _exponent_sum(mac, sys, env_state, t, "tanh")
-    out = np.exp(-ex)
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return _factor(mac, sys, env_state, t, "tanh")
 
 
 def check_thresholds(eps: float, eps_hi: float) -> None:

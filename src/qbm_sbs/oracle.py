@@ -21,7 +21,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, svdvals
@@ -34,17 +34,6 @@ EIG_CLAMP = -1.0e-10
 PASS_TOL = 1.0e-5
 # Bound on the trace-norm change from the levels the oracle leaves out of a cell.
 TRACE_TAIL_TOL = 1.0e-17
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Density matrix in the number basis, truncated at ``dim`` levels."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 def _exp_tridiagonal(z: complex, c: np.ndarray) -> np.ndarray:
@@ -96,9 +85,9 @@ def kept_levels(p: np.ndarray, tol: float = TRACE_TAIL_TOL) -> int:
     return int(np.count_nonzero(2.0 * tail > tol))
 
 
-def thermal_fock(nbar: float, dim: int) -> FockState:
-    """Thermal state with mean occupation nbar, diagonal in the number basis."""
-    return FockState(dim=dim, matrix=np.diag(thermal_populations(nbar, dim)).astype(complex))
+def thermal_fock(nbar: float, dim: int) -> np.ndarray:
+    """Density matrix of the thermal state with mean occupation nbar, diagonal in the number basis."""
+    return np.diag(thermal_populations(nbar, dim)).astype(complex)
 
 
 def required_displace_dim(eta: complex) -> int:
@@ -178,7 +167,7 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def overlap_fock(rho1: FockState, rho2: FockState) -> float:
+def overlap_fock(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """Generalized overlap tr sqrt(sqrt(rho1) rho2 sqrt(rho1)).
 
     Computed as the sum of the singular values of sqrt(rho1) V2 sqrt(W2), where
@@ -186,16 +175,16 @@ def overlap_fock(rho1: FockState, rho2: FockState) -> float:
     then add to the large singular values in quadrature (about 1e-17) instead of
     entering the trace through their square roots (about 1e-8).
     """
-    if rho1.dim != rho2.dim:
-        raise ConfigurationError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    w2, v2 = _psd_eigh(rho2.matrix)
-    return float(np.sum(svdvals((_sqrt_psd(rho1.matrix) @ v2) * np.sqrt(w2))))
+    if rho1.shape != rho2.shape:
+        raise ConfigurationError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
+    w2, v2 = _psd_eigh(rho2)
+    return float(np.sum(svdvals((_sqrt_psd(rho1) @ v2) * np.sqrt(w2))))
 
 
-def gamma_fock(rho0: FockState, eta: complex) -> float:
+def gamma_fock(rho0: np.ndarray, eta: complex) -> float:
     """Modulus of the displaced-state trace, the single-mode decoherence factor."""
-    d = displace_fock(eta, rho0.dim)
-    return float(abs(np.trace(d @ rho0.matrix)))
+    d = displace_fock(eta, len(rho0))
+    return float(abs(np.trace(d @ rho0)))
 
 
 def _exp_normal(x: float) -> float:

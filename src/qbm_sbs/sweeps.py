@@ -11,6 +11,7 @@ a master seed and the cell index.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -67,8 +68,6 @@ class SweepRow:
     b_avg: float
     b_stderr: float
     regime: RegimeFlag
-    n_time_samples: int
-    tau: float
     all_converged: bool = True
 
 
@@ -221,7 +220,7 @@ def temperature_sweep(
         return time_average(realization, sys, state, tau, n_time_samples, time_seed)
 
     cells = [(ti, ri) for ti in range(len(temperatures)) for ri in range(n_realizations)]
-    with ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(cells), os.cpu_count() or 1)) as pool:
         flat = list(pool.map(run_cell, cells))
 
     rows = []
@@ -237,8 +236,6 @@ def temperature_sweep(
                 b_avg=b_mean,
                 b_stderr=b_err,
                 regime=classify_regime(min(g_mean, 1.0), min(b_mean, 1.0), eps, eps_hi),
-                n_time_samples=n_time_samples,
-                tau=tau,
                 all_converged=all(r.converged for r in res),
             )
         )

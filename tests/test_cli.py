@@ -261,7 +261,7 @@ class TestSweepCommand:
         assert main(["--out", str(out), *FAST_SWEEP, "sweep"]) == 0
         rows = read_data_rows(out / "sweep.csv")
         header, data = rows[0], rows[1:]
-        assert header == "T_kelvin,gamma_avg,gamma_stderr,b_avg,b_stderr,regime,n_samples,tau_seconds"
+        assert header == "T_kelvin,gamma_avg,gamma_stderr,b_avg,b_stderr,regime"
         assert len(data) == 2
         temps = [float(r.split(",")[0]) for r in data]
         assert temps == [1e-3, 1e-1]

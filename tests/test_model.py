@@ -6,12 +6,12 @@ import pytest
 from qbm_sbs.errors import ConfigurationError, DomainError
 from qbm_sbs.model import (
     BATH_MASS,
+    DEFAULT_RESONANCE_RATIO,
     EnvInitialState,
     EnvironmentSpec,
     Oscillator,
     SystemParams,
     coupling_constant,
-    is_off_resonant,
     sample_environment,
 )
 
@@ -63,11 +63,22 @@ class TestTypes:
                 with pytest.raises(DomainError, match=f"{field} must be finite"):
                     SystemParams(**{"mass_M": 1, "omega_big": 1, "x_sep": 0, field: bad})
 
+    @pytest.mark.parametrize("axis", ["momentum", "banana", None])
+    def test_squeezing_axis_must_be_a_member(self, axis):
+        with pytest.raises(DomainError, match="squeezing_axis"):
+            SystemParams(mass_M=1, omega_big=1, x_sep=0, squeezing_axis=axis)
+
     def test_oscillator_validation(self):
         with pytest.raises(DomainError):
             Oscillator(omega=0, mass=1, coupling=1)
         with pytest.raises(DomainError):
             Oscillator(omega=1, mass=0, coupling=1)
+
+    @pytest.mark.parametrize("field", ["omega", "mass", "coupling"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_oscillator_non_finite_rejected(self, field, bad):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            Oscillator(**{"omega": 1.0, "mass": 1.0, "coupling": 1.0, field: bad})
 
     def test_env_state_validation(self):
         with pytest.raises(DomainError):
@@ -140,9 +151,10 @@ class TestSampling:
 
     def test_frequencies_in_band_and_off_resonant(self, system):
         realization = sample_environment(make_spec(), system, 99)
+        omega_big = system.omega_big
         for w in np.concatenate([realization.traced.omega, realization.macrofractions[0].omega]):
             assert 3e9 <= w <= 6e9
-            assert is_off_resonant(w, system.omega_big)
+            assert not omega_big / DEFAULT_RESONANCE_RATIO <= w <= omega_big * DEFAULT_RESONANCE_RATIO
 
     @pytest.mark.parametrize(
         "mass_M,gamma0,omega_low,omega_high",

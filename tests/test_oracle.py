@@ -15,7 +15,6 @@ from qbm_sbs.dynamics import alpha_gaussian
 from qbm_sbs.errors import ConfigurationError, TruncationError
 from qbm_sbs.oracle import (
     TRACE_TAIL_TOL,
-    FockState,
     auto_dim,
     b_closed,
     default_grid,
@@ -53,19 +52,19 @@ class TestThermal:
         rho = thermal_fock(0.0, 4)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 0] = 1.0
-        np.testing.assert_array_equal(rho.matrix, expected)
+        np.testing.assert_array_equal(rho, expected)
         assert required_thermal_dim(0.0) == 1
 
     @pytest.mark.parametrize("nbar", [0.5, 1.0, 2.0])
     def test_trace_and_purity(self, nbar):
         dim = 2 * required_thermal_dim(nbar)
         rho = thermal_fock(nbar, dim)
-        assert np.real(np.trace(rho.matrix)) == pytest.approx(1.0, abs=1e-10)
-        assert rho.purity() == pytest.approx(1.0 / (2.0 * nbar + 1.0), abs=1e-10)
+        assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0 / (2.0 * nbar + 1.0), abs=1e-10)
 
     def test_geometric_populations(self):
         rho = thermal_fock(1.0, 80)
-        p = np.real(np.diag(rho.matrix))
+        p = np.real(np.diag(rho))
         # nbar = 1 gives p_n = 2^-(n+1)
         np.testing.assert_allclose(p[:10], 0.5 ** np.arange(1, 11), rtol=1e-12)
 
@@ -159,7 +158,7 @@ class TestOverlap:
         vac = np.zeros(dim)
         vac[0] = 1.0
         psi = d @ vac
-        return FockState(dim=dim, matrix=np.outer(psi, psi.conj()))
+        return np.outer(psi, psi.conj())
 
     def test_self_overlap_is_one(self):
         rho = thermal_fock(1.0, 80)
@@ -182,8 +181,8 @@ class TestOverlap:
         r1 = thermal_fock(0.5, dim)
         r2 = self._coherent(0.6, dim)
         u = squeeze_fock(0.4, dim)
-        r1u = FockState(dim=dim, matrix=u @ r1.matrix @ u.conj().T)
-        r2u = FockState(dim=dim, matrix=u @ r2.matrix @ u.conj().T)
+        r1u = u @ r1 @ u.conj().T
+        r2u = u @ r2 @ u.conj().T
         assert overlap_fock(r1u, r2u) == pytest.approx(overlap_fock(r1, r2), abs=1e-7)
 
     def test_dimension_mismatch_rejected(self):
@@ -243,9 +242,9 @@ class TestValidationHarness:
         rho = thermal_fock(nbar, dim)
         if r > 0:
             s = squeeze_fock(r * np.exp(1j * theta), dim)
-            rho = FockState(dim=dim, matrix=s @ rho.matrix @ s.conj().T)
+            rho = s @ rho @ s.conj().T
         d = displace_fock(eta, dim)
-        displaced = FockState(dim=dim, matrix=d @ rho.matrix @ d.conj().T)
+        displaced = d @ rho @ d.conj().T
         assert cell.gamma_fock == pytest.approx(gamma_fock(rho, eta), abs=1e-12)
         assert cell.b_fock == pytest.approx(overlap_fock(rho, displaced), abs=1e-12)
 

@@ -122,7 +122,9 @@ class TestTemperatureSweep:
         with pytest.raises(ConfigurationError, match="threads must be >= 1"):
             self.run(system, threads=0)
 
-    def test_pool_never_exceeds_cells(self, system, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool the sweep opens."""
         sizes = []
 
         def pool(max_workers):
@@ -130,19 +132,22 @@ class TestTemperatureSweep:
             return ThreadPoolExecutor(max_workers)
 
         monkeypatch.setattr(sweeps, "ThreadPoolExecutor", pool)
+        return sizes
+
+    def test_pool_never_exceeds_cells(self, system, monkeypatch, pool_sizes):
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
         assert self.run(system, threads=12) == self.run(system, threads=1)
-        assert sizes == [len(self.TEMPS) * 3, 1]
+        assert pool_sizes == [len(self.TEMPS) * 3, 1]
 
-    def test_one_thread_runs_a_one_worker_pool(self, system, monkeypatch):
-        sizes = []
+    @pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
+    def test_pool_never_exceeds_cpus(self, system, monkeypatch, pool_sizes, cpus, workers):
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+        assert self.run(system, threads=12) == self.run(system, threads=1)
+        assert pool_sizes == [workers, 1]
 
-        def pool(max_workers):
-            sizes.append(max_workers)
-            return ThreadPoolExecutor(max_workers)
-
-        monkeypatch.setattr(sweeps, "ThreadPoolExecutor", pool)
+    def test_one_thread_runs_a_one_worker_pool(self, system, pool_sizes):
         self.run(system, threads=1)
-        assert sizes == [1]
+        assert pool_sizes == [1]
 
     @pytest.mark.parametrize("eps, eps_hi", [(0.5, 0.3), (0.0, 0.3), (0.05, 1.0)])
     def test_bad_thresholds_rejected_before_any_cell(self, system, monkeypatch, eps, eps_hi):
