@@ -2,9 +2,9 @@
 
 Configuration is a flat key=value text file; every key has a default equal to
 the reference parameter set, so all subcommands run without a config file.
-Outputs are CSV files with the resolved configuration and the physical
-constants embedded as leading comment lines, plus a key=value metadata
-sidecar.  Identical configuration and master seed give byte-identical output.
+Outputs are CSV files whose leading comment lines hold the resolved
+configuration and the physical constants, the one record of a run.  Identical
+configuration and master seed give byte-identical output.
 
 Exit codes: 0 success, 1 oracle validation failure, 2 configuration error,
 3 I/O error.
@@ -61,7 +61,6 @@ _SCHEMA: dict[str, tuple] = {
     "n_realizations": (int, 10),
     "eps": (float, 0.05),
     "eps_hi": (float, 0.3),
-    "oracle_dim": (int, 0),  # 0 means automatic tail-bound truncation
 }
 
 
@@ -107,6 +106,9 @@ def _parse_value(key: str, raw: str):
         raise ConfigurationError(f"cannot parse {key}={raw!r}: {exc}") from exc
     if caster is int and value < 0:
         raise ConfigurationError(f"{key} must be >= 0, got {value}")
+    # numpy rounds sizes near 2**63: np.linspace(0, 1, 2**63 - 1) raises IndexError, not ValueError.
+    if caster is int and key != "seed" and value >= 2**62:
+        raise ConfigurationError(f"{key} must be < 2**62, got {value}")
     if caster is float and not math.isfinite(value):
         raise ConfigurationError(f"{key}={raw!r} is not finite")
     return value
@@ -165,26 +167,22 @@ def _table(records, *columns: str) -> dict[str, list]:
 
 
 def _header_lines(config: RunConfig, command: str) -> list[str]:
-    lines = [
+    # threads changes no data row, and the pool runs at most os.cpu_count() workers anyway.
+    return [
         f"# qbm-sbs {__version__} :: {command}",
         f"# kernel_backend = {kernels.backend_name()}",
         f"# hbar_J_s = {HBAR!r}",
         f"# k_B_J_per_K = {KB!r}",
+        *(f"# {key} = {_fmt(config.values[key])}" for key in _SCHEMA if key != "threads"),
     ]
-    for key in _SCHEMA:
-        lines.append(f"# {key} = {_fmt(config.values[key])}")
-    return lines
 
 
 def _write_output(out_dir: Path, name: str, config: RunConfig, command: str, table: dict) -> None:
-    """Write ``<name>.csv`` (config header, column row, data rows) and its ``.meta.txt``."""
+    """Write ``<name>.csv``: config header, column row, data rows."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = _header_lines(config, command)
     rows = [",".join(map(_fmt, row)) for row in zip(*table.values())]
     csv_path = out_dir / f"{name}.csv"
-    csv_path.write_text("\n".join(header + [",".join(table)] + rows) + "\n")
-    meta = [line.removeprefix("# ") for line in header]
-    (out_dir / f"{name}.meta.txt").write_text("\n".join(meta) + "\n")
+    csv_path.write_text("\n".join(_header_lines(config, command) + [",".join(table)] + rows) + "\n")
     print(f"wrote {csv_path}")
 
 
@@ -223,12 +221,11 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_oracle(config: RunConfig, out_dir: Path) -> int:
-    report = validate_closed_forms(force_dim=config.oracle_dim or None)
+    report = validate_closed_forms()
     table = _table(
-        report.cells, "nbar", "abs_eta=eta", "r", "theta", "dim", "kept", "guard_ok",
+        report.cells, "nbar", "abs_eta", "r", "theta", "dim", "kept", "guard_ok",
         "gamma_closed", "gamma_fock", "gamma_dev", "b_closed", "b_fock", "b_dev", "ok",
     )
-    table["abs_eta"] = [abs(eta) for eta in table["abs_eta"]]
     _write_output(out_dir, "oracle", config, "oracle", table)
     print(
         f"{len(report.cells)} cells, max |dGamma| = {report.max_gamma_dev:.3g}, "
@@ -238,7 +235,7 @@ def cmd_oracle(config: RunConfig, out_dir: Path) -> int:
         for c in report.cells:
             if not c.ok:
                 print(
-                    f"  cell nbar={c.nbar} |eta|={abs(c.eta)} r={c.r} theta={c.theta:.3f} "
+                    f"  cell nbar={c.nbar} |eta|={c.abs_eta} r={c.r} theta={c.theta:.3f} "
                     f"dim={c.dim}: guard_ok={c.guard_ok} {c.note}"
                 )
         return EXIT_ORACLE_FAIL
@@ -319,8 +316,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=_sys.stderr)
         return EXIT_IO
-    except MemoryError:
-        print("configuration error: out of memory; reduce the size keys", file=_sys.stderr)
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an array past its size limits with a ValueError, before allocating it.
+        if isinstance(exc, ValueError) and not str(exc).startswith(("array is too big", "Maximum")):
+            raise
+        print(f"configuration error: {str(exc) or 'out of memory; reduce the size keys'}", file=_sys.stderr)
         return EXIT_CONFIG
 
 

@@ -225,7 +225,7 @@ def gamma_b_on_levels(p: np.ndarray, s: np.ndarray | None, d: np.ndarray) -> tup
 @dataclass(frozen=True)
 class ValidationCell:
     nbar: float
-    eta: complex
+    abs_eta: float
     r: float
     theta: float
     dim: int
@@ -294,7 +294,6 @@ def squeeze_parameter(r: float, theta: float) -> complex | float:
 
 def validate_closed_forms(
     grid: list[tuple[float, float, float, float]] | None = None,
-    force_dim: int | None = None,
 ) -> ValidationReport:
     """Compare closed-form Gamma and B against Fock brute force on every cell.
 
@@ -321,14 +320,14 @@ def validate_closed_forms(
     if len(grid) == 0:
         raise ConfigurationError("validation grid is empty")
 
-    groups: dict[tuple[float, float, float], list[complex]] = {}
-    for nbar, eta_abs, r, theta in grid:
-        groups.setdefault((nbar, r, theta), []).append(complex(eta_abs))
+    groups: dict[tuple[float, float, float], list[float]] = {}
+    for nbar, eta, r, theta in grid:
+        groups.setdefault((nbar, r, theta), []).append(eta)
 
     displace = functools.cache(displace_fock)
-    results: dict[tuple[float, complex, float, float], ValidationCell] = {}
+    results: dict[tuple[float, float, float, float], ValidationCell] = {}
     for (nbar, r, theta), etas in groups.items():
-        dim = force_dim if force_dim is not None else max(auto_dim(nbar, e, r) for e in etas)
+        dim = max(auto_dim(nbar, e, r) for e in etas)
         state = None  # (p, s) on the kept levels, built once per group; a guard failure flags every cell
         for eta in etas:
             gc = gamma_closed(nbar, eta, r, theta)
@@ -347,7 +346,7 @@ def validate_closed_forms(
                 )
             results[(nbar, eta, r, theta)] = cell
 
-    cells = [results[(nbar, complex(e), r, theta)] for nbar, e, r, theta in grid]
+    cells = [results[(nbar, eta, r, theta)] for nbar, eta, r, theta in grid]
     finite = [c for c in cells if c.guard_ok]
     return ValidationReport(
         cells=tuple(cells),

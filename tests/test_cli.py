@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbm_sbs import cli
+from qbm_sbs import cli, oracle
 from qbm_sbs.cli import _SCHEMA, load_config, main
 from qbm_sbs.errors import ConfigurationError
 from qbm_sbs.model import EnvInitialState, EnvironmentSpec, SystemParams
@@ -54,7 +54,7 @@ class TestConfigLoading:
         assert cfg.provided == {"temperature", "seed"}
 
     def test_unknown_key_rejected(self):
-        for item in ("bogus=1", "time_sampler=random", "m_env=1e-25", "rot_psi=0.0"):
+        for item in ("bogus=1", "time_sampler=random", "m_env=1e-25", "rot_psi=0.0", "oracle_dim=0"):
             with pytest.raises(ConfigurationError, match="unknown configuration key"):
                 load_config(None, [item], None, None)
 
@@ -161,20 +161,15 @@ class TestExitCodes:
         assert code == 2
         assert "both axes" in capsys.readouterr().err
 
-    def test_undersized_oracle_dimension_fails(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path), "--set", "oracle_dim=8", "oracle"])
+    def test_undersized_oracle_dimension_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "auto_dim", lambda *args: 8)
+        code = main(["--out", str(tmp_path), "oracle"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
         assert read_data_rows(tmp_path / "oracle.csv")[0] == (
             "nbar,abs_eta,r,theta,dim,kept,guard_ok,gamma_closed,gamma_fock,gamma_dev,"
             "b_closed,b_fock,b_dev,ok"
         )
-
-    def test_negative_oracle_dimension_is_config_error(self, tmp_path, capsys):
-        code = main(["--out", str(tmp_path), "--set", "oracle_dim=-5", "oracle"])
-        assert code == 2
-        assert "oracle_dim must be >= 0" in capsys.readouterr().err
-        assert list(tmp_path.rglob("*.csv")) == []
 
     @pytest.mark.parametrize(
         "args",
@@ -239,6 +234,34 @@ class TestExitCodes:
         assert "not ASCII" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            [*FAST_TS, "--set", f"n_points={2**63}", "timeseries"],
+            [*FAST_TS, "--set", f"n_points={2**63 - 1}", "timeseries"],
+            [*FAST_TS, "--set", f"n_points={2**61}", "timeseries"],
+            [*FAST_TS, "--set", f"traced_size={10**20}", "timeseries"],
+            [*FAST_TS, "--set", f"macrofraction_size={10**20}", "timeseries"],
+            [*FAST_TS, "--set", f"n_macrofractions={10**20}", "timeseries"],
+            # Each key is in range; the bath size 4 + 4 * 2**61 is not.
+            [*FAST_TS, "--set", f"n_macrofractions={2**61}", "timeseries"],
+            [*FAST_SWEEP, "--set", f"n_temps={10**20}", "sweep"],
+            [*FAST_SWEEP, "--set", f"n_time_samples={10**20}", "sweep"],
+        ],
+        ids=[
+            "n_points=2**63", "n_points=2**63-1", "n_points=2**61", "traced_size=1e20",
+            "macrofraction_size=1e20", "n_macrofractions=1e20", "n_macrofractions=2**61",
+            "n_temps=1e20", "n_time_samples=1e20",
+        ],
+    )
+    def test_oversized_integer_is_config_error(self, tmp_path, capsys, args):
+        assert main(["--out", str(tmp_path), *args]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_seed_may_exceed_64_bits(self, tmp_path):
+        assert main(["--out", str(tmp_path), *FAST_TS, "--set", f"seed={2**64}", "timeseries"]) == 0
+
     def test_memory_error_is_config_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError
@@ -294,18 +317,29 @@ def test_reruns_are_byte_identical(tmp_path, args):
     assert main(["--out", str(b), *args]) == 0
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())
-    assert any(n.endswith(".csv") for n in names) and any(n.endswith(".meta.txt") for n in names)
+    assert names and all(n.endswith(".csv") for n in names)
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-# Numbers come only from the bounded integers, so that no size key allocates
-# much memory: drawn text such as "traced_size=999999999" would.
+def test_thread_count_leaves_sweep_csv_unchanged(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--out", str(a), "--threads", "1", *FAST_SWEEP, "sweep"]) == 0
+    assert main(["--out", str(b), "--threads", "2", *FAST_SWEEP, "sweep"]) == 0
+    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+# Numbers come only from the bounded integers and two sizes past NumPy's array
+# limits, which fail before allocating, so that no size key allocates much
+# memory: drawn text such as "traced_size=999999999" would.
 _NO_DIGITS = st.text(st.characters(exclude_categories=("Nd",)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(key=st.sampled_from(sorted(_SCHEMA)), raw=_NO_DIGITS | st.integers(-1000, 1000).map(str))
+@given(
+    key=st.sampled_from(sorted(_SCHEMA)),
+    raw=_NO_DIGITS | (st.integers(-1000, 1000) | st.sampled_from([2**60, 2**63])).map(str),
+)
 def test_any_set_value_exits_cleanly(key, raw):
     with tempfile.TemporaryDirectory() as out:
         assert main(["--out", out, *FAST_TS, "--set", f"{key}={raw}", "timeseries"]) in (0, 2)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qbm_sbs import oracle
 from qbm_sbs.dynamics import alpha_gaussian
 from qbm_sbs.errors import ConfigurationError, TruncationError
 from qbm_sbs.oracle import (
@@ -218,8 +219,9 @@ class TestValidationHarness:
         assert report.max_b_dev < 1e-5
         assert all(c.guard_ok for c in report.cells)
 
-    def test_forced_small_dimension_is_flagged_not_fatal(self):
-        report = validate_closed_forms(grid=[(0.5, 1.0, 0.0, 0.0)], force_dim=8)
+    def test_forced_small_dimension_is_flagged_not_fatal(self, monkeypatch):
+        monkeypatch.setattr(oracle, "auto_dim", lambda *args: 8)
+        report = validate_closed_forms(grid=[(0.5, 1.0, 0.0, 0.0)])
         assert not report.passed
         assert not report.cells[0].guard_ok
         assert report.cells[0].kept == 0
