@@ -7,6 +7,12 @@ explicit tail bounds with a x2 safety margin, and every result records the
 dimension used: silent truncation is the main failure mode of Fock brute
 force.
 
+The displacement and squeezing unitaries are exponentials of tridiagonal
+generators (the squeezing generator one parity block at a time).  The
+eigenvectors of a generator do not depend on |eta| or r, so one
+eigendecomposition per generator and dimension serves every parameter, and a
+real parameter builds its unitary in real arithmetic.
+
 A second tail bound decides which of those levels the per-cell products and
 the trace norm run on.  The unitaries are built at the full guard dimension,
 but only the first K thermal levels enter Gamma and B, with K the smallest k
@@ -36,19 +42,58 @@ PASS_TOL = 1.0e-5
 TRACE_TAIL_TOL = 1.0e-17
 
 
-def _exp_tridiagonal(z: complex, c: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=3)
+def _unit_eigenpairs(generator: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the |z| = 1 tridiagonal T of one generator at one truncation dim.
+
+    ``generator`` is "displace", or "even"/"odd" for one parity block of the
+    squeezing generator.  The eigenvectors do not depend on |z| and the
+    eigenvalues scale with it, so one entry serves every parameter; three
+    entries hold the generators of one dimension.  The arrays are read-only.
+    """
+    if generator == "displace":
+        c = np.sqrt(np.arange(1.0, dim))
+    else:
+        # The squeezing generator couples n to n + 2 only, so each parity block is tridiagonal.
+        n = np.arange(dim - 2, dtype=float)
+        c = (np.sqrt((n + 1.0) * (n + 2.0)) / 2.0)[0 if generator == "even" else 1 :: 2]
+    lam, v = eigh_tridiagonal(np.zeros(len(c) + 1), c)
+    lam.flags.writeable = v.flags.writeable = False
+    return lam, v
+
+
+def _exp_tridiagonal(z: complex, generator: str, dim: int) -> np.ndarray:
     """exp(G) for the anti-Hermitian G with G[m+1, m] = z c_m, G[m, m+1] = -z^* c_m.
 
     With Phi = diag(e^{i m beta}) and beta = arg(i z), i G = Phi T Phi^dag for
     the real symmetric tridiagonal T of zero diagonal and off-diagonal |z| c.
-    Hence exp(G) = Phi V exp(-i Lambda) V^T Phi^dag from the eigenpairs of T,
-    exact up to rounding and unitary by construction.  A real z gives a real
-    G, and the real part is returned.
+    Hence exp(G) = Phi V exp(-i Lambda) V^T Phi^dag, exact up to rounding and
+    unitary by construction, with V and Lambda / |z| the cached eigenpairs of
+    the |z| = 1 tridiagonal (``_unit_eigenpairs``).
+
+    A real z != 0 gives a real G and beta = +-pi/2, so Phi is real on the even
+    levels and imaginary on the odd ones.  exp(G) is then built from real
+    parity blocks: U_ee = Ve cos(Lambda) Ve^T, U_oo = Vo cos(Lambda) Vo^T,
+    U_oe = Vo sin(Lambda) Ve^T and U_eo = -U_oe^T, where Ve and Vo are the
+    even and odd rows of V times the real sign Phi puts on each row.
     """
     z = complex(z)
-    lam, v = eigh_tridiagonal(np.zeros(len(c) + 1), abs(z) * c)
+    unit_lam, v = _unit_eigenpairs(generator, dim)
+    lam = abs(z) * unit_lam
+    if z.imag == 0 and z.real != 0:
+        m = np.arange(len(lam))
+        sign = np.where(m % 4 < 2, 1.0, -1.0)  # e^{i m pi/2} / i^(m % 2) for z > 0
+        sign[1::2] *= math.copysign(1.0, z.real)
+        ve, vo = v[0::2] * sign[0::2, None], v[1::2] * sign[1::2, None]
+        cos, sin = np.cos(lam), np.sin(lam)
+        u = np.empty((len(lam), len(lam)))
+        u[0::2, 0::2] = (ve * cos) @ ve.T
+        u[1::2, 1::2] = (vo * cos) @ vo.T
+        u[1::2, 0::2] = (vo * sin) @ ve.T
+        u[0::2, 1::2] = -u[1::2, 0::2].T
+        return u
     u = (v * np.cos(lam)) @ v.T - 1j * ((v * np.sin(lam)) @ v.T)
-    phase = np.exp(1j * cmath.phase(1j * z) * np.arange(len(c) + 1))
+    phase = np.exp(1j * cmath.phase(1j * z) * np.arange(len(lam)))
     u *= np.outer(phase, phase.conj())
     return u.real.copy() if z.imag == 0 else u
 
@@ -106,7 +151,7 @@ def displace_fock(eta: complex, dim: int) -> np.ndarray:
         raise TruncationError(
             f"dim={dim} too small for displacement |eta|={abs(eta):g}; need dim >= {need}"
         )
-    return _exp_tridiagonal(eta, np.sqrt(np.arange(1.0, dim)))
+    return _exp_tridiagonal(eta, "displace", dim)
 
 
 def squeezed_vacuum_tail(r: float, n_keep: int) -> float:
@@ -144,10 +189,7 @@ def squeeze_fock(xi: complex, dim: int) -> np.ndarray:
         raise TruncationError(
             f"dim={dim} leaks squeezed population above dim/2 for r={r:g}; need dim >= {need}"
         )
-    # The generator couples n to n + 2 only, so each parity block is tridiagonal.
-    n = np.arange(dim - 2, dtype=float)
-    c = np.sqrt((n + 1.0) * (n + 2.0)) / 2.0
-    even, odd = _exp_tridiagonal(xi, c[0::2]), _exp_tridiagonal(xi, c[1::2])
+    even, odd = _exp_tridiagonal(xi, "even", dim), _exp_tridiagonal(xi, "odd", dim)
     u = np.zeros((dim, dim), dtype=even.dtype)
     u[0::2, 0::2] = even
     u[1::2, 1::2] = odd
@@ -214,10 +256,16 @@ def gamma_b_on_levels(p: np.ndarray, s: np.ndarray | None, d: np.ndarray) -> tup
 
     ``s`` holds the first len(p) columns of S (None for S = 1), so
     X = S_K^dag (D S_K) costs O(dim^2 K).  Gamma = |sum_n p_n X_nn| and B is
-    the sum of the singular values of sqrt(P) X sqrt(P).
+    the sum of the singular values of sqrt(P) X sqrt(P).  A real D times a
+    complex S_K is one real product over the interleaved real and imaginary
+    parts of S_K, where NumPy would first make D complex.
     """
     k = len(p)
-    x = d[:k, :k] if s is None else s.conj().T @ (d @ s)
+    if s is None:
+        x = d[:k, :k]
+    else:
+        ds = (d @ s.view(float)).view(complex) if np.isrealobj(d) and np.iscomplexobj(s) else d @ s
+        x = s.conj().T @ ds
     sqrt_p = np.sqrt(p)
     return float(abs(np.dot(p, np.diagonal(x)))), float(np.sum(svdvals(sqrt_p[:, None] * x * sqrt_p)))
 
@@ -313,7 +361,9 @@ def validate_closed_forms(
 
     Guard violations flag the cell (and fail the report, with kept = 0)
     without aborting the remaining cells.  Cells sharing an initial state
-    share S; displacement unitaries are cached by (eta, dim).
+    share S.  The groups run in order of guard dimension, and each dimension
+    caches its displacement unitaries by eta, so only one dimension's
+    unitaries and tridiagonal eigenpairs (``_unit_eigenpairs``) stay alive.
     """
     if grid is None:
         grid = default_grid()
@@ -323,28 +373,31 @@ def validate_closed_forms(
     groups: dict[tuple[float, float, float], list[float]] = {}
     for nbar, eta, r, theta in grid:
         groups.setdefault((nbar, r, theta), []).append(eta)
-
-    displace = functools.cache(displace_fock)
-    results: dict[tuple[float, float, float, float], ValidationCell] = {}
+    by_dim: dict[int, list[tuple[float, float, float, list[float]]]] = {}
     for (nbar, r, theta), etas in groups.items():
-        dim = max(auto_dim(nbar, e, r) for e in etas)
-        state = None  # (p, s) on the kept levels, built once per group; a guard failure flags every cell
-        for eta in etas:
-            gc = gamma_closed(nbar, eta, r, theta)
-            bc = b_closed(nbar, eta, r, theta)
-            try:
-                if state is None:
-                    p = thermal_populations(nbar, dim)
-                    kept = kept_levels(p)
-                    s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
-                    state = p[:kept], s
-                gf, bf = gamma_b_on_levels(*state, displace(eta, dim))
-                cell = ValidationCell(nbar, eta, r, theta, dim, kept, True, gc, gf, bc, bf)
-            except TruncationError as exc:
-                cell = ValidationCell(
-                    nbar, eta, r, theta, dim, 0, False, gc, np.nan, bc, np.nan, note=str(exc)
-                )
-            results[(nbar, eta, r, theta)] = cell
+        by_dim.setdefault(max(auto_dim(nbar, e, r) for e in etas), []).append((nbar, r, theta, etas))
+
+    results: dict[tuple[float, float, float, float], ValidationCell] = {}
+    for dim in sorted(by_dim):
+        displace = functools.cache(displace_fock)
+        for nbar, r, theta, etas in by_dim[dim]:
+            state = None  # (p, s) on the kept levels, built once per group; a guard failure flags every cell
+            for eta in etas:
+                gc = gamma_closed(nbar, eta, r, theta)
+                bc = b_closed(nbar, eta, r, theta)
+                try:
+                    if state is None:
+                        p = thermal_populations(nbar, dim)
+                        kept = kept_levels(p)
+                        s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
+                        state = p[:kept], s
+                    gf, bf = gamma_b_on_levels(*state, displace(eta, dim))
+                    cell = ValidationCell(nbar, eta, r, theta, dim, kept, True, gc, gf, bc, bf)
+                except TruncationError as exc:
+                    cell = ValidationCell(
+                        nbar, eta, r, theta, dim, 0, False, gc, np.nan, bc, np.nan, note=str(exc)
+                    )
+                results[(nbar, eta, r, theta)] = cell
 
     cells = [results[(nbar, eta, r, theta)] for nbar, eta, r, theta in grid]
     finite = [c for c in cells if c.guard_ok]

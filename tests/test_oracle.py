@@ -9,11 +9,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from qbm_sbs import oracle
-from qbm_sbs.dynamics import alpha_gaussian
+from qbm_sbs.constants import HBAR, KB
+from qbm_sbs.dynamics import alpha_gaussian, alpha_momentum, alpha_position
 from qbm_sbs.errors import ConfigurationError, TruncationError
+from qbm_sbs.model import (
+    EnvInitialState,
+    EnvironmentSpec,
+    SqueezeAxis,
+    SystemParams,
+    sample_environment,
+)
+from qbm_sbs.observables import decoherence_factor, overlap_macrofraction
 from qbm_sbs.oracle import (
     TRACE_TAIL_TOL,
     auto_dim,
@@ -35,6 +44,9 @@ from qbm_sbs.oracle import (
     thermal_populations,
     validate_closed_forms,
 )
+
+from conftest import GAMMA0, MASS_M, OMEGA_BIG, X_SEP
+from test_dynamics import make_osc
 
 # Both unitaries come from eigendecompositions of tridiagonal generators; the
 # dense matrix exponential of the same truncated generator is the reference.
@@ -211,6 +223,59 @@ class TestClosedForms:
         assert lg * lb == pytest.approx(e0**2, rel=1e-12)
 
 
+# The observables' path against the brute force: rounding in the kernel, plus
+# the Fock truncation of the squeezed thermal states (up to 4e-13 here).
+PATH_TOL = 1e-12
+PATH_TIMES = (0.0, 3.0e-10, 7.7e-9, 1.45e-8, 2.2e-8)
+
+
+class TestObservablePath:
+    """``decoherence_factor``/``overlap_macrofraction`` against the Fock brute force.
+
+    The path the CSVs come from (the disorder draw's prefactor, the kernel,
+    the coth/tanh weight, the axis and its sign of tanh r, and the factor
+    x_sep^2 / 2 hbar) on one reference-band mode, against ``gamma_b_on_levels``
+    with eta = alpha x_sep / sqrt(hbar) from ``dynamics`` and
+    nbar = 1 / expm1(hbar omega / kB T).  Multiplicativity over modes carries
+    the check from one mode to a fraction.
+    """
+
+    @pytest.mark.parametrize(
+        "axis, omega, temperature, r, theta",
+        [
+            ("momentum", 3.2e9, 0.02, 0.0, 0.0),
+            ("position", 4.1e9, 0.05, 0.0, 0.0),
+            ("momentum", 5.7e9, 0.1, 0.5, math.pi / 2),
+            ("position", 3.7e9, 0.03, 0.5, math.pi / 2),
+            ("momentum", 4.6e9, 0.07, 1.0, 2.0),
+            ("position", 5.2e9, 0.01, 1.0, 2.0),
+            ("momentum", 3.0e9, 0.04, 0.5, math.pi),
+            ("position", 6.0e9, 0.08, 0.5, 0.0),
+        ],
+    )
+    def test_one_mode_matches_brute_force(self, axis, omega, temperature, r, theta):
+        sys_params = SystemParams(MASS_M, OMEGA_BIG, X_SEP, SqueezeAxis(axis))
+        spec = EnvironmentSpec(
+            macrofraction_size=1, omega_low=omega, omega_high=omega, gamma0=GAMMA0,
+            n_macrofractions=1, traced_size=1,
+        )
+        mode = sample_environment(spec, sys_params, 0).traced
+        state = EnvInitialState(temperature, r, theta)
+        nbar = 1.0 / math.expm1(HBAR * omega / (KB * temperature))
+        assert nbar <= 2.5
+        alpha = alpha_momentum if axis == "momentum" else alpha_position
+        osc = make_osc(omega)
+        etas = [complex(alpha(osc, sys_params, t)) * X_SEP / math.sqrt(HBAR) for t in PATH_TIMES]
+        dim = max(auto_dim(nbar, eta, r) for eta in etas)
+        p = thermal_populations(nbar, dim)
+        k = kept_levels(p)
+        s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :k] if r > 0 else None
+        for t, eta in zip(PATH_TIMES, etas):
+            gamma, b = gamma_b_on_levels(p[:k], s, displace_fock(eta, dim))
+            assert abs(decoherence_factor(mode, sys_params, state, t) - gamma) <= PATH_TOL
+            assert abs(overlap_macrofraction(mode, sys_params, state, t) - b) <= PATH_TOL
+
+
 class TestValidationHarness:
     def test_small_grid_passes(self):
         report = validate_closed_forms(grid=[(0.5, 0.5, 0.0, 0.0), (0.0, 1.0, 0.5, math.pi)])
@@ -249,6 +314,30 @@ class TestValidationHarness:
         displaced = d @ rho @ d.conj().T
         assert cell.gamma_fock == pytest.approx(gamma_fock(rho, eta), abs=1e-12)
         assert cell.b_fock == pytest.approx(overlap_fock(rho, displaced), abs=1e-12)
+
+    def test_default_grid_shares_eigendecompositions(self, monkeypatch):
+        # One eigh_tridiagonal per (generator, dim): the displacement at each
+        # guard dimension, and both squeezing parity blocks at each dimension
+        # of a squeezed group.
+        calls = []
+
+        def counted(d, e):
+            calls.append(len(d))
+            return eigh_tridiagonal(d, e)
+
+        monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
+        oracle._unit_eigenpairs.cache_clear()
+        grid = default_grid()
+        cells = validate_closed_forms().cells
+        assert [(c.nbar, c.abs_eta, c.r, c.theta) for c in cells] == grid
+        for c in cells:
+            etas = [e for nb, e, r, th in grid if (nb, r, th) == (c.nbar, c.r, c.theta)]
+            assert c.dim == max(auto_dim(c.nbar, e, c.r) for e in etas)
+            assert c.kept == kept_levels(thermal_populations(c.nbar, c.dim))
+        displace_dims = {c.dim for c in cells}
+        squeeze_dims = {c.dim for c in cells if c.r > 0}
+        assert (len(displace_dims), len(squeeze_dims)) == (8, 5)
+        assert len(calls) == len(displace_dims) + 2 * len(squeeze_dims) == 18
 
     def test_default_grid_keeps_fewer_levels(self):
         report = validate_closed_forms()
