@@ -41,7 +41,6 @@ _SCHEMA: dict[str, tuple] = {
     "x_sep": (float, 1.0e-9),
     "squeezing_axis": (SqueezeAxis, SqueezeAxis.MOMENTUM),
     "macrofraction_size": (int, 30),
-    "n_macrofractions": (int, 1),
     "traced_size": (int, 30),
     "omega_low": (float, 3.0e9),
     "omega_high": (float, 6.0e9),

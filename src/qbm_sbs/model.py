@@ -4,8 +4,7 @@ The central system is a harmonic oscillator of mass ``mass_M`` and angular
 frequency ``omega_big``, linearly coupled to a bath of oscillators whose
 frequencies are drawn i.i.d. uniformly from a band that must be off-resonant
 with the central frequency.  The sampled bath is stored as arrays and sliced
-into one unobserved (traced) fraction and one or more observed macro-fractions
-of equal size.
+into one unobserved (traced) fraction and one observed macro-fraction.
 """
 
 from __future__ import annotations
@@ -100,7 +99,6 @@ class EnvironmentSpec:
     omega_low: float  # rad/s
     omega_high: float  # rad/s
     gamma0: float  # s^-4, coupling scale
-    n_macrofractions: int
     traced_size: int
 
     def __post_init__(self):
@@ -116,20 +114,16 @@ class EnvironmentSpec:
             )
         if self.gamma0 <= 0:
             raise ConfigurationError(f"gamma0 must be > 0, got {self.gamma0}")
-        if min(self.traced_size, self.macrofraction_size, self.n_macrofractions) < 1:
-            raise ConfigurationError("traced_size, macrofraction_size and n_macrofractions must be >= 1")
-
-    @property
-    def n_total(self) -> int:
-        return self.traced_size + self.macrofraction_size * self.n_macrofractions
+        if min(self.traced_size, self.macrofraction_size) < 1:
+            raise ConfigurationError("traced_size and macrofraction_size must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
 class EnvironmentRealization:
-    """One sampled bath: the traced fraction and the equal observed blocks."""
+    """One sampled bath: the traced fraction and the observed macro-fraction."""
 
     traced: Modes
-    macrofractions: tuple[Modes, ...]
+    macrofraction: Modes
 
 
 @dataclass(frozen=True)
@@ -184,8 +178,8 @@ def sample_environment(spec: EnvironmentSpec, sys: SystemParams, seed: int) -> E
     """Draw one disorder realization; deterministic function of ``seed``.
 
     The first ``traced_size`` draws are the traced fraction and the rest is
-    cut into contiguous macro-fractions.  The draws are i.i.d., so the
-    contiguous split is statistically equivalent to any other.
+    the macro-fraction.  The draws are i.i.d., so the contiguous split is
+    statistically equivalent to any other.
     """
     lo, hi = spec.omega_low, spec.omega_high
     band_lo = sys.omega_big / DEFAULT_RESONANCE_RATIO
@@ -196,7 +190,7 @@ def sample_environment(spec: EnvironmentSpec, sys: SystemParams, seed: int) -> E
             f"[{band_lo:g}, {band_hi:g}] around the central frequency {sys.omega_big:g} "
             f"(off-resonance ratio {DEFAULT_RESONANCE_RATIO:g})"
         )
-    omega = np.random.default_rng(seed).uniform(lo, hi, spec.n_total)
+    omega = np.random.default_rng(seed).uniform(lo, hi, spec.traced_size + spec.macrofraction_size)
     c = coupling_constant(sys.mass_M, BATH_MASS, spec.gamma0)
     # The coupling can underflow to 0 (pref 0) and 2 m omega to 0 (pref inf or NaN).
     with np.errstate(all="ignore"):
@@ -207,10 +201,4 @@ def sample_environment(spec: EnvironmentSpec, sys: SystemParams, seed: int) -> E
             f"omega in [{lo:g}, {hi:g}], coupling {c}"
         )
     bath = Modes(omega, pref)
-    start, size = spec.traced_size, spec.macrofraction_size
-    return EnvironmentRealization(
-        traced=bath[:start],
-        macrofractions=tuple(
-            bath[start + i * size : start + (i + 1) * size] for i in range(spec.n_macrofractions)
-        ),
-    )
+    return EnvironmentRealization(traced=bath[: spec.traced_size], macrofraction=bath[spec.traced_size :])

@@ -106,6 +106,8 @@ def required_thermal_dim(nbar: float) -> int:
     if nbar == 0:
         return 1
     q = nbar / (nbar + 1.0)
+    if not q < 1.0:
+        raise TruncationError(f"no practical truncation for a thermal state with nbar={nbar}")
     return max(1, math.ceil(math.log(TAIL_TOL) / math.log(q)))
 
 
@@ -371,6 +373,12 @@ def validate_closed_forms(
         grid = default_grid()
     if len(grid) == 0:
         raise ConfigurationError("validation grid is empty")
+    for cell in grid:
+        nbar, _, r, _ = cell
+        if not all(map(math.isfinite, cell)) or nbar < 0 or r < 0:
+            raise ConfigurationError(
+                f"validation cell (nbar, |eta|, r, theta) = {cell} needs finite entries, nbar >= 0 and r >= 0"
+            )
 
     groups: dict[tuple[float, float, float], list[float]] = {}
     for nbar, eta, r, theta in grid:

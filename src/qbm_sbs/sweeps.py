@@ -113,9 +113,9 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 def _gamma_and_b(
     realization: EnvironmentRealization, sys: SystemParams, env_state: EnvInitialState, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|Gamma| of the traced fraction and B of the first macro-fraction at the times t."""
+    """|Gamma| of the traced fraction and B of the macro-fraction at the times t."""
     gamma = decoherence_factor(realization.traced, sys, env_state, t)
-    return gamma, overlap_macrofraction(realization.macrofractions[0], sys, env_state, t)
+    return gamma, overlap_macrofraction(realization.macrofraction, sys, env_state, t)
 
 
 def time_series(

@@ -25,13 +25,12 @@ def system_position():
     )
 
 
-def make_spec(macrofraction_size=30, n_macrofractions=1, traced_size=30):
+def make_spec(macrofraction_size=30, traced_size=30):
     return EnvironmentSpec(
         macrofraction_size=macrofraction_size,
         omega_low=OMEGA_LOW,
         omega_high=OMEGA_HIGH,
         gamma0=GAMMA0,
-        n_macrofractions=n_macrofractions,
         traced_size=traced_size,
     )
 

@@ -54,7 +54,8 @@ class TestConfigLoading:
         assert cfg.provided == {"temperature", "seed"}
 
     def test_unknown_key_rejected(self):
-        for item in ("bogus=1", "time_sampler=random", "m_env=1e-25", "rot_psi=0.0", "oracle_dim=0"):
+        for item in ("bogus=1", "time_sampler=random", "m_env=1e-25", "rot_psi=0.0", "oracle_dim=0",
+                     "n_macrofractions=1"):
             with pytest.raises(ConfigurationError, match="unknown configuration key"):
                 load_config(None, [item], None, None)
 
@@ -242,15 +243,14 @@ class TestExitCodes:
             [*FAST_TS, "--set", f"n_points={2**61}", "timeseries"],
             [*FAST_TS, "--set", f"traced_size={10**20}", "timeseries"],
             [*FAST_TS, "--set", f"macrofraction_size={10**20}", "timeseries"],
-            [*FAST_TS, "--set", f"n_macrofractions={10**20}", "timeseries"],
-            # Each key is in range; the bath size 4 + 4 * 2**61 is not.
-            [*FAST_TS, "--set", f"n_macrofractions={2**61}", "timeseries"],
+            # Each key is in range; the bath size 2**61 + 2**61 is not.
+            [*FAST_TS, "--set", f"traced_size={2**61}", "--set", f"macrofraction_size={2**61}", "timeseries"],
             [*FAST_SWEEP, "--set", f"n_temps={10**20}", "sweep"],
             [*FAST_SWEEP, "--set", f"n_time_samples={10**20}", "sweep"],
         ],
         ids=[
             "n_points=2**63", "n_points=2**63-1", "n_points=2**61", "traced_size=1e20",
-            "macrofraction_size=1e20", "n_macrofractions=1e20", "n_macrofractions=2**61",
+            "macrofraction_size=1e20", "traced_size=macrofraction_size=2**61",
             "n_temps=1e20", "n_time_samples=1e20",
         ],
     )

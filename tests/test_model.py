@@ -109,7 +109,6 @@ class TestTypes:
             omega_low=3e9,
             omega_high=6e9,
             gamma0=GAMMA0,
-            n_macrofractions=1,
             traced_size=30,
         )
         values[field] = bad
@@ -121,8 +120,7 @@ class TestSampling:
     def test_reference_band_accepted(self, system):
         realization = sample_environment(make_spec(), system, 7)
         assert len(realization.traced) == 30
-        assert len(realization.macrofractions) == 1
-        assert len(realization.macrofractions[0]) == 30
+        assert len(realization.macrofraction) == 30
 
     def test_band_containing_central_frequency_rejected(self, system):
         spec = make_spec()
@@ -131,7 +129,6 @@ class TestSampling:
             omega_low=1e8,
             omega_high=6e9,
             gamma0=GAMMA0,
-            n_macrofractions=1,
             traced_size=30,
         )
         with pytest.raises(ConfigurationError, match="resonant band"):
@@ -141,18 +138,18 @@ class TestSampling:
         a = sample_environment(make_spec(), system, 123)
         b = sample_environment(make_spec(), system, 123)
         np.testing.assert_array_equal(a.traced.omega, b.traced.omega)
-        np.testing.assert_array_equal(a.macrofractions[0].omega, b.macrofractions[0].omega)
+        np.testing.assert_array_equal(a.macrofraction.omega, b.macrofraction.omega)
 
     def test_different_seed_differs(self, system):
         a = sample_environment(make_spec(), system, 1)
         b = sample_environment(make_spec(), system, 2)
         assert not np.array_equal(a.traced.omega, b.traced.omega)
-        assert not np.array_equal(a.macrofractions[0].omega, b.macrofractions[0].omega)
+        assert not np.array_equal(a.macrofraction.omega, b.macrofraction.omega)
 
     def test_frequencies_in_band_and_off_resonant(self, system):
         realization = sample_environment(make_spec(), system, 99)
         omega_big = system.omega_big
-        for w in np.concatenate([realization.traced.omega, realization.macrofractions[0].omega]):
+        for w in np.concatenate([realization.traced.omega, realization.macrofraction.omega]):
             assert 3e9 <= w <= 6e9
             assert not omega_big / DEFAULT_RESONANCE_RATIO <= w <= omega_big * DEFAULT_RESONANCE_RATIO
 
@@ -165,7 +162,7 @@ class TestSampling:
         sys = SystemParams(mass_M=mass_M, omega_big=3e8, x_sep=1e-9)
         spec = EnvironmentSpec(
             macrofraction_size=4, omega_low=omega_low, omega_high=omega_high, gamma0=gamma0,
-            n_macrofractions=1, traced_size=4,
+            traced_size=4,
         )
         with pytest.raises(DomainError, match="bath prefactor"):
             sample_environment(spec, sys, 0)

@@ -28,7 +28,7 @@ class TestLimits:
     def test_initial_time_is_unity(self, system, realization, thermal_state):
         assert decoherence_factor(realization.traced, system, thermal_state, 0.0) == 1.0
         assert overlap_macrofraction(
-            realization.macrofractions[0], system, thermal_state, 0.0
+            realization.macrofraction, system, thermal_state, 0.0
         ) == 1.0
 
     def test_zero_separation_is_unity(self, realization, thermal_state):
@@ -44,7 +44,7 @@ class TestLimits:
 
     def test_values_in_unit_interval(self, system, realization, thermal_state):
         g = decoherence_factor(realization.traced, system, thermal_state, T_GRID)
-        b = overlap_macrofraction(realization.macrofractions[0], system, thermal_state, T_GRID)
+        b = overlap_macrofraction(realization.macrofraction, system, thermal_state, T_GRID)
         assert np.all((0.0 <= g) & (g <= 1.0))
         assert np.all((0.0 <= b) & (b <= 1.0))
 
@@ -94,7 +94,7 @@ class TestStructure:
         temps = [1e-3, 1e-2, 1e-1, 1.0]
         vals = [
             overlap_macrofraction(
-                realization.macrofractions[0], system, EnvInitialState(temperature=T), t
+                realization.macrofraction, system, EnvInitialState(temperature=T), t
             )
             for T in temps
         ]

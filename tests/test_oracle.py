@@ -85,6 +85,14 @@ class TestThermal:
         with pytest.raises(TruncationError):
             thermal_fock(2.0, 8)
 
+    def test_occupation_without_practical_truncation_rejected(self):
+        # nbar / (nbar + 1) rounds to 1, so the geometric tail never falls below TAIL_TOL.
+        with pytest.raises(TruncationError, match="no practical truncation"):
+            required_thermal_dim(1e17)
+        # r = 30 gives auto_dim an effective occupation of about 1e25.
+        with pytest.raises(TruncationError, match="no practical truncation"):
+            validate_closed_forms(grid=[(0.5, 1.0, 30.0, 0.0)])
+
 
 class TestDisplacement:
     def test_vacuum_matrix_element(self):
@@ -256,8 +264,7 @@ class TestObservablePath:
     def test_one_mode_matches_brute_force(self, axis, omega, temperature, r, theta):
         sys_params = SystemParams(MASS_M, OMEGA_BIG, X_SEP, SqueezeAxis(axis))
         spec = EnvironmentSpec(
-            macrofraction_size=1, omega_low=omega, omega_high=omega, gamma0=GAMMA0,
-            n_macrofractions=1, traced_size=1,
+            macrofraction_size=1, omega_low=omega, omega_high=omega, gamma0=GAMMA0, traced_size=1,
         )
         mode = sample_environment(spec, sys_params, 0).traced
         state = EnvInitialState(temperature, r, theta)
@@ -295,6 +302,24 @@ class TestValidationHarness:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             validate_closed_forms(grid=[])
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            (0.5, 1.0, -0.5, 0.0),
+            (-0.1, 1.0, 0.0, 0.0),
+            (-5.0, 1.0, 0.0, 0.0),
+            (math.nan, 1.0, 0.0, 0.0),
+            (0.5, math.nan, 0.0, 0.0),
+            (0.5, 1.0, math.inf, 0.0),
+            (0.5, 1.0, 0.5, math.nan),
+        ],
+        ids=["r<0", "nbar=-0.1", "nbar=-5", "nbar=nan", "eta=nan", "r=inf", "theta=nan"],
+    )
+    def test_malformed_cell_rejected_before_any_work(self, cell, monkeypatch):
+        monkeypatch.setattr(oracle, "auto_dim", None)  # any truncation work would raise TypeError
+        with pytest.raises(ConfigurationError, match="validation cell"):
+            validate_closed_forms(grid=[(0.0, 0.3, 0.0, 0.0), cell])
 
     @pytest.mark.parametrize("nbar", [0.0, 0.5])
     @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from qbm_sbs import cli, oracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,6 +33,13 @@ probe = _load("probe")
 def test_every_trace_point_resolves():
     for module_name, attr, span, _ in tracer.TRACE_POINTS:
         assert hasattr(importlib.import_module(module_name), attr), span
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_workload_config_loads(name, tmp_path):
+    # What the benchmark's set-up child does before it times anything; an unknown key aborts the run.
+    args = cli.build_parser().parse_args(run.WORKLOADS[name].argv(run.master_seed(0), tmp_path))
+    cli.load_config(args.config, args.set, args.seed, args.threads)
 
 
 def test_traced_one_thread_sweep_records_every_layer_and_cell(tmp_path):

@@ -74,18 +74,16 @@ def test_classifier_is_total(g, b):
 @settings(max_examples=25, deadline=None)
 @given(
     traced=st.integers(min_value=1, max_value=8),
-    n_mac=st.integers(min_value=1, max_value=5),
-    size=st.integers(min_value=1, max_value=6),
+    size=st.integers(min_value=1, max_value=30),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_sampled_blocks_split_one_uniform_draw(traced, n_mac, size, seed):
+def test_sampled_blocks_split_one_uniform_draw(traced, size, seed):
     sys = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=X_SEP)
-    spec = make_spec(macrofraction_size=size, n_macrofractions=n_mac, traced_size=traced)
-    r = sample_environment(spec, sys, seed)
+    r = sample_environment(make_spec(macrofraction_size=size, traced_size=traced), sys, seed)
     assert len(r.traced) == traced
-    assert [len(m) for m in r.macrofractions] == [size] * n_mac
-    blocks = [r.traced, *r.macrofractions]
-    draw = np.random.default_rng(seed).uniform(OMEGA_LOW, OMEGA_HIGH, traced + n_mac * size)
+    assert len(r.macrofraction) == size
+    blocks = [r.traced, r.macrofraction]
+    draw = np.random.default_rng(seed).uniform(OMEGA_LOW, OMEGA_HIGH, traced + size)
     np.testing.assert_array_equal(np.concatenate([b.omega for b in blocks]), draw)
     # The per-mode expression of the amplitude prefactor, bit for bit.
     c = coupling_constant(MASS_M, M_ENV, GAMMA0)
