@@ -321,7 +321,3 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"configuration error: {str(exc) or 'out of memory; reduce the size keys'}", file=_sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

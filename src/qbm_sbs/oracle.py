@@ -310,6 +310,14 @@ class ValidationReport:
     max_b_dev: float
 
 
+def _flagged_cell(nbar: float, eta: float, r: float, theta: float, dim: int, note: str) -> ValidationCell:
+    """A cell whose truncation guard failed: closed forms only, kept = 0 and no Fock values."""
+    return ValidationCell(
+        nbar, eta, r, theta, dim, 0, False,
+        gamma_closed(nbar, eta, r, theta), np.nan, b_closed(nbar, eta, r, theta), np.nan, note,
+    )
+
+
 def default_grid() -> list[tuple[float, float, float, float]]:
     """(nbar, |eta|, r, theta) cells: thermal plus squeezed-thermal states."""
     nbars = [0.0, 0.5, 2.0]
@@ -364,7 +372,8 @@ def validate_closed_forms(
     still built at the full guard dimension.
 
     Guard violations flag the cell (and fail the report, with kept = 0)
-    without aborting the remaining cells.  Cells sharing an initial state
+    without aborting the remaining cells; a cell that no practical truncation
+    holds is flagged with dim = 0.  Cells sharing an initial state
     share S.  The groups run in order of guard dimension, and each dimension
     caches its displacement unitaries by eta, so only one dimension's
     unitaries and tridiagonal eigenpairs (``_unit_eigenpairs``) stay alive.
@@ -374,27 +383,28 @@ def validate_closed_forms(
     if len(grid) == 0:
         raise ConfigurationError("validation grid is empty")
     for cell in grid:
-        nbar, _, r, _ = cell
-        if not all(map(math.isfinite, cell)) or nbar < 0 or r < 0:
+        if len(cell) != 4 or not all(map(math.isfinite, cell)) or cell[0] < 0 or cell[2] < 0:
             raise ConfigurationError(
-                f"validation cell (nbar, |eta|, r, theta) = {cell} needs finite entries, nbar >= 0 and r >= 0"
+                f"validation cell (nbar, |eta|, r, theta) = {cell} needs four finite entries, "
+                "nbar >= 0 and r >= 0"
             )
 
     groups: dict[tuple[float, float, float], list[float]] = {}
     for nbar, eta, r, theta in grid:
         groups.setdefault((nbar, r, theta), []).append(eta)
+    results: dict[tuple[float, float, float, float], ValidationCell] = {}
     by_dim: dict[int, list[tuple[float, float, float, list[float]]]] = {}
     for (nbar, r, theta), etas in groups.items():
-        by_dim.setdefault(max(auto_dim(nbar, e, r) for e in etas), []).append((nbar, r, theta, etas))
+        try:
+            by_dim.setdefault(max(auto_dim(nbar, e, r) for e in etas), []).append((nbar, r, theta, etas))
+        except TruncationError as exc:
+            results |= {(nbar, e, r, theta): _flagged_cell(nbar, e, r, theta, 0, str(exc)) for e in etas}
 
-    results: dict[tuple[float, float, float, float], ValidationCell] = {}
     for dim in sorted(by_dim):
         displace = functools.cache(displace_fock)
         for nbar, r, theta, etas in by_dim[dim]:
             state = None  # (p, s) on the kept levels, built once per group; a guard failure flags every cell
             for eta in etas:
-                gc = gamma_closed(nbar, eta, r, theta)
-                bc = b_closed(nbar, eta, r, theta)
                 try:
                     if state is None:
                         p = thermal_populations(nbar, dim)
@@ -402,11 +412,12 @@ def validate_closed_forms(
                         s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
                         state = p[:kept], s
                     gf, bf = gamma_b_on_levels(*state, displace(eta, dim))
-                    cell = ValidationCell(nbar, eta, r, theta, dim, kept, True, gc, gf, bc, bf)
-                except TruncationError as exc:
                     cell = ValidationCell(
-                        nbar, eta, r, theta, dim, 0, False, gc, np.nan, bc, np.nan, note=str(exc)
+                        nbar, eta, r, theta, dim, kept, True,
+                        gamma_closed(nbar, eta, r, theta), gf, b_closed(nbar, eta, r, theta), bf,
                     )
+                except TruncationError as exc:
+                    cell = _flagged_cell(nbar, eta, r, theta, dim, str(exc))
                 results[(nbar, eta, r, theta)] = cell
 
     cells = [results[(nbar, eta, r, theta)] for nbar, eta, r, theta in grid]

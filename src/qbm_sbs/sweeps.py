@@ -262,46 +262,26 @@ def position_squeezing_comparison(
     |Gamma| over the same sampled times.
     """
     t_sys = 2.0 * math.pi / sys.omega_big
-    window = (t_sys, t_max)
-    if window[0] >= window[1]:
+    if t_sys >= t_max:
         raise ConfigurationError(
-            f"t_max={t_max:g}s leaves an empty revival window starting at {window[0]:g}s"
+            f"t_max={t_max:g}s leaves an empty revival window starting at {t_sys:g}s"
         )
     if n_realizations < 1:
         raise ConfigurationError(f"n_realizations must be >= 1, got {n_realizations}")
-    sys_pos = replace(sys, squeezing_axis=SqueezeAxis.POSITION)
-    sys_mom = replace(sys, squeezing_axis=SqueezeAxis.MOMENTUM)
+    axes = [replace(sys, squeezing_axis=axis) for axis in (SqueezeAxis.POSITION, SqueezeAxis.MOMENTUM)]
 
-    rows = []
-    series_pos = series_mom = None
+    rows, series_0 = [], []
     for ri in range(n_realizations):
         env_seed, time_seed = cell_seeds(master_seed, 0, ri)
         realization = sample_environment(spec, sys, env_seed)
-        sp = time_series(realization, sys_pos, env_state, t_max, n_points)
-        sm = time_series(realization, sys_mom, env_state, t_max, n_points)
-        if ri == 0:
-            series_pos, series_mom = sp, sm
-        late = sp.times >= window[0]
         t = sample_times(tau, n_time_samples, time_seed)
-        avg_p = float(decoherence_factor(realization.traced, sys_pos, env_state, t).mean())
-        avg_m = float(decoherence_factor(realization.traced, sys_mom, env_state, t).mean())
-        if avg_m == avg_p:
-            ratio = 1.0
-        else:
-            ratio = avg_p / avg_m if avg_m > 0 else math.inf
-        rows.append(
-            SqueezingComparisonRow(
-                realization_index=ri,
-                gamma_avg_position=avg_p,
-                gamma_avg_momentum=avg_m,
-                ratio=ratio,
-                revival_position=float(sp.gamma[late].max()),
-                revival_momentum=float(sm.gamma[late].max()),
-            )
-        )
-    return SqueezingComparison(
-        rows=tuple(rows),
-        series_position=series_pos,
-        series_momentum=series_mom,
-        revival_window=window,
-    )
+        per_axis = []
+        for axis_sys in axes:
+            s = time_series(realization, axis_sys, env_state, t_max, n_points)
+            avg = float(decoherence_factor(realization.traced, axis_sys, env_state, t).mean())
+            per_axis.append((s, avg, float(s.gamma[s.times >= t_sys].max())))
+        series, (avg_p, avg_m), revivals = zip(*per_axis)
+        series_0 = series_0 or series  # realization 0, the cell that a timeseries run also reads
+        ratio = avg_p / avg_m if avg_m > 0 else math.inf if avg_p > 0 else 1.0
+        rows.append(SqueezingComparisonRow(ri, avg_p, avg_m, ratio, *revivals))
+    return SqueezingComparison(tuple(rows), *series_0, revival_window=(t_sys, t_max))

@@ -1,11 +1,17 @@
+import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbm_sbs
 from qbm_sbs import cli, oracle
 from qbm_sbs.cli import _SCHEMA, load_config, main
 from qbm_sbs.errors import ConfigurationError
@@ -188,10 +194,24 @@ class TestExitCodes:
         assert list(tmp_path.rglob("*.csv")) == []
 
     def test_zero_realizations_is_config_error(self, tmp_path, capsys):
-        args = [*FAST_CMP, "--set", "n_realizations=0", "compare-squeezing"]
-        assert main(["--out", str(tmp_path), *args]) == 2
-        assert "n_realizations must be >= 1" in capsys.readouterr().err
+        for fast, command in ((FAST_CMP, "compare-squeezing"), (FAST_SWEEP, "sweep")):
+            assert main(["--out", str(tmp_path), *fast, "--set", "n_realizations=0", command]) == 2
+            assert "n_realizations must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("item", ["temp_min=0", "temp_max=1e-5", "n_temps=0"])
+    def test_bad_temperature_grid_is_config_error(self, tmp_path, capsys, item):
+        assert main(["--out", str(tmp_path), *FAST_SWEEP, "--set", item, "sweep"]) == 2
+        assert "bad temperature grid" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_config_line_without_equals_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("temperature=0.5\ntemperature 0.5\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(p), "--out", str(out), *FAST_TS, "timeseries"]) == 2
+        assert f"{p}:2: expected key=value" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "item",
@@ -291,6 +311,22 @@ class TestSweepCommand:
         regimes = {r.split(",")[5] for r in data}
         assert regimes <= {"SBS", "ClassicalQuantum", "Coherent", "Indeterminate"}
 
+    def test_one_temperature_is_temp_min(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *FAST_SWEEP, "--set", "n_temps=1", "sweep"]) == 0
+        data = read_data_rows(out / "sweep.csv")[1:]
+        assert [r.split(",")[0] for r in data] == [repr(1e-3)]
+
+
+class TestOracleCommand:
+    def test_passing_grid_exits_zero(self, tmp_path, capsys, monkeypatch):
+        grid = [(0.5, 0.5, 0.0, 0.0), (0.0, 1.0, 0.5, math.pi)]
+        monkeypatch.setattr(oracle, "default_grid", lambda: grid)
+        assert main(["--out", str(tmp_path), "oracle"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("2 cells, ") and summary.endswith(": PASS")
+        assert len(read_data_rows(tmp_path / "oracle.csv")) == 1 + len(grid)
+
 
 class TestCompareSqueezingCommand:
     def test_outputs_both_files(self, tmp_path):
@@ -304,6 +340,21 @@ class TestCompareSqueezingCommand:
             "realization,gamma_avg_position,gamma_avg_momentum,ratio,revival_position,revival_momentum"
         )
         assert len(report) == 1 + 2
+
+    def test_series_are_those_of_timeseries_runs(self, tmp_path):
+        # Both commands run realization 0, cell (0, 0) of cell_seeds.
+        def columns(path):
+            header, *rows = read_data_rows(path)
+            return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+        assert main(["--out", str(tmp_path / "cmp"), *FAST_CMP, "compare-squeezing"]) == 0
+        cmp = columns(tmp_path / "cmp" / "compare_timeseries.csv")
+        for axis, extra in (("momentum", []), ("position", ["--set", "squeezing_axis=position"])):
+            assert main(["--out", str(tmp_path / axis), *FAST_CMP, *extra, "timeseries"]) == 0
+            ts = columns(tmp_path / axis / "timeseries.csv")
+            assert ts["t_seconds"] == cmp["t_seconds"]
+            assert ts["gamma_abs"] == cmp[f"gamma_{axis}"]
+            assert ts["b_mac"] == cmp[f"b_{axis}"]
 
 
 @pytest.mark.parametrize(
@@ -343,3 +394,12 @@ _NO_DIGITS = st.text(st.characters(exclude_categories=("Nd",)))
 def test_any_set_value_exits_cleanly(key, raw):
     with tempfile.TemporaryDirectory() as out:
         assert main(["--out", out, *FAST_TS, "--set", f"{key}={raw}", "timeseries"]) in (0, 2)
+
+
+def test_module_entry_point_runs(tmp_path):
+    src = str(Path(qbm_sbs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "qbm_sbs", "--out", str(tmp_path), *FAST_TS, "timeseries"]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "timeseries.csv").is_file()

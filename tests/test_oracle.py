@@ -89,9 +89,10 @@ class TestThermal:
         # nbar / (nbar + 1) rounds to 1, so the geometric tail never falls below TAIL_TOL.
         with pytest.raises(TruncationError, match="no practical truncation"):
             required_thermal_dim(1e17)
-        # r = 30 gives auto_dim an effective occupation of about 1e25.
-        with pytest.raises(TruncationError, match="no practical truncation"):
-            validate_closed_forms(grid=[(0.5, 1.0, 30.0, 0.0)])
+        # r = 30 gives auto_dim an effective occupation of about 1e25: the cell is flagged.
+        (cell,) = validate_closed_forms(grid=[(0.5, 1.0, 30.0, 0.0)]).cells
+        assert not cell.guard_ok and cell.dim == 0
+        assert "no practical truncation" in cell.note
 
 
 class TestDisplacement:
@@ -299,6 +300,21 @@ class TestValidationHarness:
         assert report.cells[0].kept == 0
         assert report.cells[0].note != ""
 
+    @pytest.mark.parametrize(
+        "cell", [(0.0, 0.3, 8.0, 0.0), (0.0, 0.3, 5.0, 0.0), (1e16, 0.3, 0.0, 0.0)],
+        ids=["r=8", "r=5", "nbar=1e16"],
+    )
+    def test_cell_without_practical_truncation_is_flagged_not_fatal(self, cell):
+        report = validate_closed_forms(grid=[(0.0, 0.3, 0.0, 0.0), cell])
+        assert not report.passed
+        first, flagged = report.cells
+        assert first.ok and first.dim > 0
+        assert (flagged.guard_ok, flagged.dim, flagged.kept) == (False, 0, 0)
+        assert math.isnan(flagged.gamma_fock) and math.isnan(flagged.b_fock)
+        assert "no practical truncation" in flagged.note
+        assert flagged.gamma_closed == gamma_closed(*cell)
+        assert report.max_gamma_dev == first.gamma_dev
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             validate_closed_forms(grid=[])
@@ -313,8 +329,13 @@ class TestValidationHarness:
             (0.5, math.nan, 0.0, 0.0),
             (0.5, 1.0, math.inf, 0.0),
             (0.5, 1.0, 0.5, math.nan),
+            (0.5, 1.0),
+            (0.5, 1.0, 0.0, 0.0, 0.0),
         ],
-        ids=["r<0", "nbar=-0.1", "nbar=-5", "nbar=nan", "eta=nan", "r=inf", "theta=nan"],
+        ids=[
+            "r<0", "nbar=-0.1", "nbar=-5", "nbar=nan", "eta=nan", "r=inf", "theta=nan",
+            "two entries", "five entries",
+        ],
     )
     def test_malformed_cell_rejected_before_any_work(self, cell, monkeypatch):
         monkeypatch.setattr(oracle, "auto_dim", None)  # any truncation work would raise TypeError
