@@ -40,7 +40,6 @@ from .observables import (
 # at the numerical zero of the [0, 1] scale.
 CONV_REL = 0.01
 CONV_ABS = 1.0e-4
-TRANSIENT_PERIODS = 10
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class TimeAverageResult:
     gamma_drift: float  # |full - half| of the estimate
     b_drift: float
     converged: bool
-    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -161,17 +159,11 @@ def time_average(
 ) -> TimeAverageResult:
     """Estimate of (1/tau) * integral over [0, tau] of both observables."""
     t = sample_times(tau, n_samples, seed)
-    warning = None
-    if tau < TRANSIENT_PERIODS * 2.0 * math.pi / sys.omega_big:
-        warning = (
-            f"tau={tau:g}s is shorter than {TRANSIENT_PERIODS} system periods; "
-            "the average is dominated by the transient"
-        )
     gamma, b = _gamma_and_b(realization, sys, env_state, t)
     (g_avg, g_drift, g_ok), (b_avg, b_drift, b_ok) = _sample_mean(gamma), _sample_mean(b)
     return TimeAverageResult(
         gamma_avg=g_avg, b_avg=b_avg, gamma_drift=g_drift, b_drift=b_drift,
-        converged=g_ok and b_ok, warning=warning,
+        converged=g_ok and b_ok,
     )
 
 

@@ -1,5 +1,6 @@
 """Kernel consistency with the per-mode definitions."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,6 +62,52 @@ def test_kernel_exact_at_zero_and_batch_invariant(axis, r, theta, psi):
     batched = series(times)
     for i in (0, 1, 2047, 2048, 4999):
         assert series(times[i : i + 1])[0] == batched[i]
+
+
+def mpmath_series(times, omega, pref, weight, axis, r, theta, psi):
+    """The kernel's sum from the per-mode definition, in 50-digit arithmetic."""
+    out = []
+    with mpmath.workdps(50):
+        big = mpmath.mpf(OMEGA_BIG)
+        ch, th = mpmath.cosh(r), mpmath.tanh(r)
+        for t in map(mpmath.mpf, times):
+            total = mpmath.mpf(0)
+            for w, p, g in zip(map(mpmath.mpf, omega), pref, weight):
+                plus = (mpmath.expj((w + big) * t) - 1) / (w + big)
+                minus = (mpmath.expj((w - big) * t) - 1) / (w - big)
+                alpha = -p * (plus + minus) if axis == kernels.AXIS_MOMENTUM else 1j * p * (plus - minus)
+                rot = mpmath.expj(-psi) * alpha - mpmath.expj(psi + theta) * mpmath.conj(alpha) * th
+                total += g * abs(ch * rot) ** 2
+            out.append(float(total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+@pytest.mark.parametrize("axis", [kernels.AXIS_MOMENTUM, kernels.AXIS_POSITION])
+def test_thermal_kernel_matches_mpmath(axis, theta):
+    _, omega, pref, weight = random_fraction(4, 23)
+    times = np.logspace(-15, -5, 81)
+    got = kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, 0.0, theta, 0.0)
+    expected = mpmath_series(times, omega, pref, weight, axis, 0.0, theta, 0.0)
+    short = omega.max() * times <= 1.0
+    assert np.all(np.abs(got[short] - expected[short]) <= 1e-12 * expected[short])
+    # Past |omega t| = 1 the kernel rounds the phases (omega +- Omega) t, and
+    # one ulp of the phase at each time bounds the deviation.
+    tol = np.maximum(1e-12, np.finfo(float).eps * (omega.max() + OMEGA_BIG) * times[~short])
+    assert np.all(np.abs(got[~short] - expected[~short]) <= tol * expected[~short].max())
+
+
+@pytest.mark.parametrize("axis", [kernels.AXIS_MOMENTUM, kernels.AXIS_POSITION])
+def test_thermal_body_agrees_with_squeezed_body(axis):
+    # At r = 1e-300, tanh r = 1e-300 and cosh^2 r = 1: the lab-frame squeeze
+    # map leaves |alpha|^2 as it is, so the two bodies compute one sum.
+    _, omega, pref, weight = random_fraction(8, 23)
+    short = np.logspace(-15, -9, 200)
+    long = np.random.default_rng(5).uniform(0.0, 1e-5, 3000)
+    for times in (short, long):
+        thermal = kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, 0.0, 0.0, 0.0)
+        lab = kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, 1e-300, 0.0, 0.0)
+        assert np.all(np.abs(thermal - lab) <= 1e-14 * lab)
 
 
 def test_backend_name_reports_known_value():

@@ -75,12 +75,6 @@ class TestTimeAverage:
         assert res.gamma_avg == 1.0 and res.b_avg == 1.0
         assert res.gamma_drift == 0.0 and res.b_drift == 0.0
         assert res.converged
-        assert res.warning is None
-
-    def test_short_window_warns(self, system, small_realization, thermal_state):
-        tau = 2.0 * math.pi / OMEGA_BIG  # a single system period
-        res = time_average(small_realization, system, thermal_state, tau, 50, 0)
-        assert res.warning is not None and "transient" in res.warning
 
     def test_deterministic(self, system, small_realization, thermal_state):
         a = time_average(small_realization, system, thermal_state, 1e-5, 500, 21)
