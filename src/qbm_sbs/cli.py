@@ -257,12 +257,6 @@ def cmd_compare_squeezing(config: RunConfig, out_dir: Path) -> int:
         n_realizations=config.n_realizations,
         master_seed=config.seed,
     )
-    sp, sm = cmp.series_position, cmp.series_momentum
-    series = {
-        "t_seconds": sp.times, "gamma_position": sp.gamma, "b_position": sp.b,
-        "gamma_momentum": sm.gamma, "b_momentum": sm.b,
-    }
-    _write_output(out_dir, "compare_timeseries", config, "compare-squeezing", series)
     report = _table(
         cmp.rows, "realization=realization_index", "gamma_avg_position", "gamma_avg_momentum",
         "ratio", "revival_position", "revival_momentum",

@@ -82,8 +82,6 @@ class SqueezingComparisonRow:
 @dataclass(frozen=True)
 class SqueezingComparison:
     rows: tuple[SqueezingComparisonRow, ...]
-    series_position: TimeSeries
-    series_momentum: TimeSeries
     revival_window: tuple[float, float]
 
     @property
@@ -116,6 +114,15 @@ def _gamma_and_b(
     return gamma, overlap_macrofraction(realization.macrofraction, sys, env_state, t)
 
 
+def _uniform_grid(t_max: float, n_points: int) -> np.ndarray:
+    """``n_points`` uniform times on [0, t_max], both ends included."""
+    if n_points < 2 or not 0 < t_max < math.inf:
+        raise ConfigurationError(
+            f"need n_points >= 2 and a finite t_max > 0, got {n_points}, {t_max}"
+        )
+    return np.linspace(0.0, t_max, n_points)
+
+
 def time_series(
     realization: EnvironmentRealization,
     sys: SystemParams,
@@ -124,11 +131,7 @@ def time_series(
     n_points: int,
 ) -> TimeSeries:
     """Both observables on a uniform grid including t = 0."""
-    if n_points < 2 or not 0 < t_max < math.inf:
-        raise ConfigurationError(
-            f"need n_points >= 2 and a finite t_max > 0, got {n_points}, {t_max}"
-        )
-    t = np.linspace(0.0, t_max, n_points)
+    t = _uniform_grid(t_max, n_points)
     gamma, b = _gamma_and_b(realization, sys, env_state, t)
     return TimeSeries(times=t, gamma=gamma, b=b)
 
@@ -250,9 +253,11 @@ def position_squeezing_comparison(
     The revival metric is the maximum of |Gamma(t)| over the late window
     [t_S, t_max], where t_S = 2 pi / Omega is the system period: for the sine
     trajectory the coherence returns close to 1 once per period, so ``t_max``
-    must exceed t_S for the window to be non-empty.  Both axes average
-    |Gamma| over the same sampled times.
+    must exceed t_S for the window to be non-empty.  |Gamma| is evaluated only
+    on the points of the ``time_series`` grid that lie in the window.  Both
+    axes average |Gamma| over the same sampled times.
     """
+    grid = _uniform_grid(t_max, n_points)
     t_sys = 2.0 * math.pi / sys.omega_big
     if t_sys >= t_max:
         raise ConfigurationError(
@@ -260,20 +265,19 @@ def position_squeezing_comparison(
         )
     if n_realizations < 1:
         raise ConfigurationError(f"n_realizations must be >= 1, got {n_realizations}")
+    late = grid[grid >= t_sys]
     axes = [replace(sys, squeezing_axis=axis) for axis in (SqueezeAxis.POSITION, SqueezeAxis.MOMENTUM)]
 
-    rows, series_0 = [], []
+    rows = []
     for ri in range(n_realizations):
         env_seed, time_seed = cell_seeds(master_seed, 0, ri)
         realization = sample_environment(spec, sys, env_seed)
         t = sample_times(tau, n_time_samples, time_seed)
-        per_axis = []
+        avgs, revivals = [], []
         for axis_sys in axes:
-            s = time_series(realization, axis_sys, env_state, t_max, n_points)
-            avg = float(decoherence_factor(realization.traced, axis_sys, env_state, t).mean())
-            per_axis.append((s, avg, float(s.gamma[s.times >= t_sys].max())))
-        series, (avg_p, avg_m), revivals = zip(*per_axis)
-        series_0 = series_0 or series  # realization 0, the cell that a timeseries run also reads
+            avgs.append(float(decoherence_factor(realization.traced, axis_sys, env_state, t).mean()))
+            revivals.append(float(decoherence_factor(realization.traced, axis_sys, env_state, late).max()))
+        avg_p, avg_m = avgs
         ratio = avg_p / avg_m if avg_m > 0 else math.inf if avg_p > 0 else 1.0
         rows.append(SqueezingComparisonRow(ri, avg_p, avg_m, ratio, *revivals))
-    return SqueezingComparison(tuple(rows), *series_0, revival_window=(t_sys, t_max))
+    return SqueezingComparison(tuple(rows), revival_window=(t_sys, t_max))

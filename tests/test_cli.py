@@ -329,48 +329,53 @@ class TestOracleCommand:
 
 
 class TestCompareSqueezingCommand:
-    def test_outputs_both_files(self, tmp_path):
+    def test_outputs_the_report(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--out", str(out), *FAST_CMP, "compare-squeezing"]) == 0
-        series = read_data_rows(out / "compare_timeseries.csv")
         report = read_data_rows(out / "compare_report.csv")
-        assert series[0] == "t_seconds,gamma_position,b_position,gamma_momentum,b_momentum"
-        assert series[1].startswith("0.0,1.0,1.0,1.0,1.0")
         assert report[0] == (
             "realization,gamma_avg_position,gamma_avg_momentum,ratio,revival_position,revival_momentum"
         )
         assert len(report) == 1 + 2
 
-    def test_series_are_those_of_timeseries_runs(self, tmp_path):
-        # Both commands run realization 0, cell (0, 0) of cell_seeds.
-        def columns(path):
-            header, *rows = read_data_rows(path)
-            return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
-
-        assert main(["--out", str(tmp_path / "cmp"), *FAST_CMP, "compare-squeezing"]) == 0
-        cmp = columns(tmp_path / "cmp" / "compare_timeseries.csv")
-        for axis, extra in (("momentum", []), ("position", ["--set", "squeezing_axis=position"])):
-            assert main(["--out", str(tmp_path / axis), *FAST_CMP, *extra, "timeseries"]) == 0
-            ts = columns(tmp_path / axis / "timeseries.csv")
-            assert ts["t_seconds"] == cmp["t_seconds"]
-            assert ts["gamma_abs"] == cmp[f"gamma_{axis}"]
-            assert ts["b_mac"] == cmp[f"b_{axis}"]
-
 
 @pytest.mark.parametrize(
-    "args",
-    [[*FAST_TS, "timeseries"], [*FAST_SWEEP, "sweep"], [*FAST_CMP, "compare-squeezing"]],
+    "args, names",
+    [
+        ([*FAST_TS, "timeseries"], ["timeseries.csv"]),
+        ([*FAST_SWEEP, "sweep"], ["sweep.csv"]),
+        ([*FAST_CMP, "compare-squeezing"], ["compare_report.csv"]),
+    ],
     ids=["timeseries", "sweep", "compare-squeezing"],
 )
-def test_reruns_are_byte_identical(tmp_path, args):
+def test_reruns_are_byte_identical(tmp_path, args, names):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(a), *args]) == 0
     assert main(["--out", str(b), *args]) == 0
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    assert names and all(n.endswith(".csv") for n in names)
+    assert sorted(p.name for p in a.iterdir()) == names
+    assert sorted(p.name for p in b.iterdir()) == names
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rescaled",
+    [["mass_M=4e-5", "x_sep=0.5e-9"], ["gamma0=0.66e18", "mass_M=0.5e-5"]],
+    ids=["mass_M-x_sep", "gamma0-mass_M"],
+)
+@pytest.mark.parametrize(
+    "args, name",
+    [([*FAST_TS, "timeseries"], "timeseries.csv"), ([*FAST_SWEEP, "sweep"], "sweep.csv")],
+    ids=["timeseries", "sweep"],
+)
+def test_data_depend_only_on_the_coupling_product(tmp_path, args, name, rescaled):
+    # mass_M, gamma0 and x_sep enter only through mass_M * gamma0 * x_sep**2.
+    # Power-of-two rescalings at a fixed product round identically; the
+    # header lines, which record the keys, differ.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["--out", str(a), *args]) == 0
+    assert main(["--out", str(b), *(x for item in rescaled for x in ("--set", item)), *args]) == 0
+    assert read_data_rows(a / name) == read_data_rows(b / name)
 
 
 def test_thread_count_leaves_sweep_csv_unchanged(tmp_path):

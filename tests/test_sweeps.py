@@ -183,8 +183,10 @@ class TestTemperatureSweep:
 
 class TestSqueezingComparison:
     N_TIME_SAMPLES = 400
+    T_MAX = 2.2e-8
+    N_POINTS = 256
 
-    def run(self, system, x_sep=X_SEP):
+    def run(self, system, x_sep=X_SEP, t_max=T_MAX, n_points=N_POINTS):
         sys = SystemParams(
             mass_M=system.mass_M, omega_big=system.omega_big, x_sep=x_sep
         )
@@ -194,8 +196,8 @@ class TestSqueezingComparison:
             EnvInitialState(temperature=1e-2),
             tau=1e-5,
             n_time_samples=self.N_TIME_SAMPLES,
-            t_max=2.2e-8,
-            n_points=256,
+            t_max=t_max,
+            n_points=n_points,
             n_realizations=2,
             master_seed=11,
         )
@@ -210,6 +212,17 @@ class TestSqueezingComparison:
                 res = time_average(realization, sys, state, 1e-5, self.N_TIME_SAMPLES, time_seed)
                 assert avg == res.gamma_avg
 
+    def test_revival_is_the_late_maximum_of_the_time_series(self, system, system_position):
+        cmp = self.run(system)
+        state = EnvInitialState(temperature=1e-2)
+        t_sys = 2.0 * math.pi / OMEGA_BIG
+        for row in cmp.rows:
+            env_seed, _ = cell_seeds(11, 0, row.realization_index)
+            realization = sample_environment(make_spec(**SMALL), system, env_seed)
+            for sys, revival in ((system_position, row.revival_position), (system, row.revival_momentum)):
+                s = time_series(realization, sys, state, self.T_MAX, self.N_POINTS)
+                assert revival == s.gamma[s.times >= t_sys].max()
+
     def test_two_sampled_kernel_calls_per_realization(self, system, monkeypatch):
         exponent_series = kernels.exponent_series
         sizes = []
@@ -220,7 +233,10 @@ class TestSqueezingComparison:
 
         monkeypatch.setattr(kernels, "exponent_series", counted)
         cmp = self.run(system)
-        assert sizes.count(self.N_TIME_SAMPLES) == 2 * len(cmp.rows)
+        grid = np.linspace(0.0, self.T_MAX, self.N_POINTS)
+        n_late = int(np.count_nonzero(grid >= 2.0 * math.pi / OMEGA_BIG))
+        # Per realization and axis: the sampled times for the average, the late grid points for the revival.
+        assert sorted(sizes) == sorted([self.N_TIME_SAMPLES, n_late] * 2 * len(cmp.rows))
 
     def test_row_count_and_window(self, system):
         cmp = self.run(system)
@@ -238,8 +254,13 @@ class TestSqueezingComparison:
             SqueezingComparisonRow(i, 1.0, 1.0, ratio, 1.0, 1.0)
             for i, ratio in enumerate([1.0, 2.0, 1e200])
         )
-        cmp = SqueezingComparison(rows, series_position=None, series_momentum=None, revival_window=(0.0, 1.0))
+        cmp = SqueezingComparison(rows, revival_window=(0.0, 1.0))
         assert cmp.median_ratio == 2.0
+
+    @pytest.mark.parametrize("t_max, n_points", [(math.nan, N_POINTS), (math.inf, N_POINTS), (T_MAX, 1)])
+    def test_bad_grid_rejected(self, system, t_max, n_points):
+        with pytest.raises(ConfigurationError, match="n_points >= 2 and a finite t_max"):
+            self.run(system, t_max=t_max, n_points=n_points)
 
     def test_empty_window_rejected(self, system):
         with pytest.raises(ConfigurationError):
