@@ -166,7 +166,7 @@ def _table(records, *columns: str) -> dict[str, list]:
 
 
 def _header_lines(config: RunConfig, command: str) -> list[str]:
-    # threads changes no data row, and the pool runs at most os.cpu_count() workers anyway.
+    # threads changes no data row, and the pool runs at most one worker per usable CPU anyway.
     return [
         f"# qbm-sbs {__version__} :: {command}",
         f"# kernel_backend = {kernels.backend_name()}",

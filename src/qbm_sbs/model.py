@@ -150,8 +150,10 @@ class EnvInitialState:
             raise DomainError(f"temperature must be >= 0, got {self.temperature}")
         if self.squeeze_r < 0:
             raise DomainError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
-        # The kernel scales every mode by cosh(r)^2; an infinite gain times the
-        # zero amplitude at t = 0 would give NaN instead of an error.
+        # cosh(r) scales the squeeze everywhere: the oracle and
+        # dynamics.alpha_gaussian use it, and the kernel's stretched quadrature
+        # gains e^{2r}, about 4 cosh(r)^2.  An r whose cosh(r)^2 overflows is
+        # rejected here, once, rather than by each of them.
         with np.errstate(over="ignore"):
             gain = np.cosh(self.squeeze_r) ** 2
         if not np.isfinite(gain):

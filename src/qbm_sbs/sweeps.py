@@ -177,6 +177,13 @@ def cell_seeds(master_seed: int, t_index: int, realization_index: int) -> tuple[
     return int(env_seed), int(time_seed)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on where the platform says, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def temperature_sweep(
     spec: EnvironmentSpec,
     sys: SystemParams,
@@ -215,7 +222,7 @@ def temperature_sweep(
         return time_average(realization, sys, state, tau, n_time_samples, time_seed)
 
     cells = [(ti, ri) for ti in range(len(temperatures)) for ri in range(n_realizations)]
-    with ThreadPoolExecutor(max_workers=min(threads, len(cells), os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(cells), _usable_cpus())) as pool:
         flat = list(pool.map(run_cell, cells))
 
     rows = []

@@ -225,23 +225,41 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
-            [*FAST_TS, "--set", "squeeze_r=353", "timeseries"],
+            # The smallest squeeze_r, in steps of 0.1, whose true exponent
+            # (from 30-digit mpmath) passes the float limit of 10^308.25: it
+            # peaks at 10^308.26 in both runs.  One step lower the peaks are
+            # 10^308.17 and 10^308.18, and the runs succeed (below).
+            [*FAST_TS, "--set", "squeeze_r=355", "timeseries"],
             [*FAST_TS, "--set", "temperature=1e308", "timeseries"],
             [*FAST_TS, "--set", "x_sep=1e200", "timeseries"],
             [*FAST_TS, "--set", "t_max=1e300", "timeseries"],
             # A random-sampler sweep never samples t = 0, where the NaN shows.
-            [*FAST_SWEEP, "--set", "squeeze_r=354", "sweep"],
+            [*FAST_SWEEP, "--set", "squeeze_r=354.1", "sweep"],
             [*FAST_SWEEP, "--set", "x_sep=1e200", "sweep"],
         ],
         ids=[
-            "squeeze_r=353", "temperature=1e308", "x_sep=1e200", "t_max=1e300",
-            "sweep squeeze_r=354", "sweep x_sep=1e200",
+            "squeeze_r=355", "temperature=1e308", "x_sep=1e200", "t_max=1e300",
+            "sweep squeeze_r=354.1", "sweep x_sep=1e200",
         ],
     )
     def test_overflowing_exponent_is_config_error(self, tmp_path, capsys, args):
         assert main(["--out", str(tmp_path), *args]) == 2
         assert "exponent sum is not finite" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # The true exponent peaks at 3.3e306 here (mpmath), while
+            # cosh(r)^2 times a per-mode gain is not finite.
+            [*FAST_TS, "--set", "squeeze_r=353", "timeseries"],
+            [*FAST_TS, "--set", "squeeze_r=354.9", "timeseries"],
+            [*FAST_SWEEP, "--set", "squeeze_r=354", "sweep"],
+        ],
+        ids=["squeeze_r=353", "squeeze_r=354.9", "sweep squeeze_r=354"],
+    )
+    def test_finite_exponent_below_the_overflow_runs(self, tmp_path, args):
+        assert main(["--out", str(tmp_path), *args]) == 0
 
     def test_overflowing_bath_prefactor_is_config_error(self, tmp_path, capsys):
         # The coupling underflows to 0, so every prefactor is 0.

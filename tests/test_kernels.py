@@ -52,16 +52,18 @@ def test_kernel_matches_per_mode_definition(axis, r, theta, psi):
 
 @pytest.mark.parametrize("axis,r,theta,psi", CASES)
 def test_kernel_exact_at_zero_and_batch_invariant(axis, r, theta, psi):
-    _, omega, pref, weight = random_fraction(8, 23)
+    for n_modes in (1, 8, 9, 30, 100):
+        _, omega, pref, weight = random_fraction(n_modes, 23)
 
-    def series(times):
-        return kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, theta, psi)
+        def series(times):
+            return kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, theta, psi)
 
-    assert series(np.array([0.0]))[0] == 0.0
-    times = np.random.default_rng(9).uniform(0.0, 1e-5, 5000)
-    batched = series(times)
-    for i in (0, 1, 2047, 2048, 4999):
-        assert series(times[i : i + 1])[0] == batched[i]
+        assert series(np.array([0.0]))[0] == 0.0
+        rows = kernels._CHUNK_ELEMENTS // n_modes  # times per chunk
+        times = np.random.default_rng(9).uniform(0.0, 1e-5, rows + 5)
+        batched = series(times)
+        for i in (0, 1, rows - 1, rows, rows + 4):
+            assert series(times[i : i + 1])[0] == batched[i]
 
 
 def mpmath_series(times, omega, pref, weight, axis, r, theta, psi):
@@ -82,25 +84,47 @@ def mpmath_series(times, omega, pref, weight, axis, r, theta, psi):
     return np.array(out)
 
 
-@pytest.mark.parametrize("theta", [0.0, np.pi / 2])
-@pytest.mark.parametrize("axis", [kernels.AXIS_MOMENTUM, kernels.AXIS_POSITION])
-def test_thermal_kernel_matches_mpmath(axis, theta):
+def assert_matches_mpmath(axis, r, theta, short_tol):
+    """Within ``short_tol`` relative where |omega t| <= 1, one ulp of the phase beyond."""
     _, omega, pref, weight = random_fraction(4, 23)
     times = np.logspace(-15, -5, 81)
-    got = kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, 0.0, theta, 0.0)
-    expected = mpmath_series(times, omega, pref, weight, axis, 0.0, theta, 0.0)
+    got = kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, theta, 0.0)
+    expected = mpmath_series(times, omega, pref, weight, axis, r, theta, 0.0)
     short = omega.max() * times <= 1.0
-    assert np.all(np.abs(got[short] - expected[short]) <= 1e-12 * expected[short])
+    assert np.all(np.abs(got[short] - expected[short]) <= short_tol * expected[short])
     # Past |omega t| = 1 the kernel rounds the phases (omega +- Omega) t, and
     # one ulp of the phase at each time bounds the deviation.
     tol = np.maximum(1e-12, np.finfo(float).eps * (omega.max() + OMEGA_BIG) * times[~short])
     assert np.all(np.abs(got[~short] - expected[~short]) <= tol * expected[~short].max())
 
 
+@pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+@pytest.mark.parametrize("axis", [kernels.AXIS_MOMENTUM, kernels.AXIS_POSITION])
+def test_thermal_kernel_matches_mpmath(axis, theta):
+    assert_matches_mpmath(axis, 0.0, theta, 1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 2, np.pi])
+@pytest.mark.parametrize("r", [0.5, 5.0])
+def test_squeezed_momentum_kernel_matches_mpmath(r, theta):
+    # No momentum component cancels for |omega t| <= 1, so a few ulps bound
+    # the error there, and 1e-14 leaves a factor 10; forming 1 - tanh r would
+    # show as 5e-13 at r = 5, theta = pi.  The position axis is not pinned: its
+    # amplitude gets its t^2 order by cancellation, and near t = 0 its error
+    # reaches 3e-7 at r = 5.
+    assert_matches_mpmath(kernels.AXIS_MOMENTUM, r, theta, 1e-14)
+
+
+def test_squeezed_kernel_is_finite_where_its_true_sum_is():
+    # The sum is near 1e290 at r = 353, while cosh(r)^2 weight pref^2 is not
+    # finite: the squeeze must not be applied as one per-mode gain.
+    assert_matches_mpmath(kernels.AXIS_MOMENTUM, 353.0, 0.0, 1e-14)
+
+
 @pytest.mark.parametrize("axis", [kernels.AXIS_MOMENTUM, kernels.AXIS_POSITION])
 def test_thermal_body_agrees_with_squeezed_body(axis):
-    # At r = 1e-300, tanh r = 1e-300 and cosh^2 r = 1: the lab-frame squeeze
-    # map leaves |alpha|^2 as it is, so the two bodies compute one sum.
+    # At r = 1e-300, e^{-r} = e^{r} = 1: the squeezed body's quadrature
+    # projection leaves |alpha|^2 as it is, so the two bodies compute one sum.
     _, omega, pref, weight = random_fraction(8, 23)
     short = np.logspace(-15, -9, 200)
     long = np.random.default_rng(5).uniform(0.0, 1e-5, 3000)

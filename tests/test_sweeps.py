@@ -129,15 +129,27 @@ class TestTemperatureSweep:
         return sizes
 
     def test_pool_never_exceeds_cells(self, system, monkeypatch, pool_sizes):
-        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert self.run(system, threads=12) == self.run(system, threads=1)
         assert pool_sizes == [len(self.TEMPS) * 3, 1]
 
     @pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
     def test_pool_never_exceeds_cpus(self, system, monkeypatch, pool_sizes, cpus, workers):
-        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+        # The CPUs this process may run on cap the pool, not the machine's
+        # count; None is a platform that reports neither.
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64 if cpus else None)
+        if cpus:
+            monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(sweeps.os, "sched_getaffinity", raising=False)
         assert self.run(system, threads=12) == self.run(system, threads=1)
         assert pool_sizes == [workers, 1]
+
+    def test_pool_falls_back_to_the_cpu_count(self, system, monkeypatch, pool_sizes):
+        monkeypatch.delattr(sweeps.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+        self.run(system, threads=12)
+        assert pool_sizes == [2]
 
     def test_one_thread_runs_a_one_worker_pool(self, system, pool_sizes):
         self.run(system, threads=1)
