@@ -25,7 +25,7 @@ from . import __version__, kernels
 from .constants import HBAR, KB
 from .errors import ConfigurationError, QbmSbsError
 from .model import EnvInitialState, EnvironmentSpec, SqueezeAxis, SystemParams, sample_environment
-from .observables import check_thresholds
+from .observables import DEFAULT_EPS, DEFAULT_EPS_HI, check_thresholds
 from .oracle import validate_closed_forms
 from .sweeps import cell_seeds, position_squeezing_comparison, temperature_sweep, time_series
 
@@ -58,8 +58,8 @@ _SCHEMA: dict[str, tuple] = {
     "temp_max": (float, 10.0),
     "n_temps": (int, 13),
     "n_realizations": (int, 10),
-    "eps": (float, 0.05),
-    "eps_hi": (float, 0.3),
+    "eps": (float, DEFAULT_EPS),
+    "eps_hi": (float, DEFAULT_EPS_HI),
 }
 
 

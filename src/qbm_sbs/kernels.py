@@ -24,9 +24,11 @@ z_k carries one of sin(omega_k t), 1 - cos(omega_k t), sin(Omega t) or
   quadrature's term e^{2r} (e . z_k)^2.
 
 Work arrays are mode-major, (modes x times) per chunk: per-mode factors are
-columns, per-time factors rows.  The mode sum adds whole rows in a fixed
-order, never a pairwise or BLAS reduction, so a time evaluated alone gives
-the same bits as in a batch.
+columns, per-time factors rows.  One chunk loop serves both bodies, which
+differ only in how they form and square the two quadrature components; one
+gain multiply and one mode sum then finish each chunk.  The mode sum adds
+whole rows in a fixed order, never a pairwise or BLAS reduction, so a time
+evaluated alone gives the same bits as in a batch.
 """
 
 from __future__ import annotations
@@ -49,11 +51,12 @@ def backend_name() -> str:
 
 
 def _tan_half_sin(half: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tan(x/2), sin(x) / 2) for x = 2 * ``half``, written over ``half`` and ``spare``."""
+    """(sin(x) / 2, (1 - cos(x)) / 2) for x = 2 * ``half``, written over ``spare`` and ``half``."""
     u = np.tan(half, out=half)
     q = np.multiply(u, u, out=spare)
     q += 1.0
-    return u, np.divide(u, q, out=q)
+    half_sin = np.divide(u, q, out=q)
+    return half_sin, np.multiply(u, half_sin, out=u)
 
 
 def _add_rows(x: np.ndarray, out: np.ndarray) -> None:
@@ -99,35 +102,7 @@ def exponent_series(
     gain = (weight * pref**2 * (2.0 * a) ** 2)[:, None]
     ratio = ratio[:, None]
     half_omega = 0.5 * omega[:, None]
-    n, k = times.shape[0], omega.shape[0]
-    out = np.zeros(n)
-    rows = max(1, _CHUNK_ELEMENTS // max(k, 1))
-    bufs = [np.empty(k * min(n, rows)) for _ in range(3 if r == 0.0 else 5)]
-
-    def chunk(lo):
-        """The chunk's times, (modes x times) work arrays, S/2 and V/2, and s/2 and v/2."""
-        t = times[lo : lo + rows]
-        work = [buf[: k * t.shape[0]].reshape(k, t.shape[0]) for buf in bufs]
-        big_u, big_half_sin = _tan_half_sin(0.5 * omega_big * t, np.empty_like(t))
-        big_half_versin = np.multiply(big_u, big_half_sin, out=big_u)
-        u, half_sin = _tan_half_sin(np.multiply(half_omega, t, out=work[0]), work[1])
-        return t, work, big_half_sin, big_half_versin, half_sin, np.multiply(u, half_sin, out=u)
-
-    if r == 0.0:
-        # In the frame rotating with mode k, z_k = alpha_k e^{-i w t} / (2 a pref_k)
-        # has the components (V - v)/2 and (s - (b/a) S)/2, each vanishing at t = 0.
-        for lo in range(0, n, rows):
-            t, (_, _, y), big_half_sin, big_half_versin, half_sin, x = chunk(lo)
-            np.subtract(big_half_versin, x, out=x)
-            x *= x
-            np.multiply(ratio, big_half_sin, out=y)
-            np.subtract(half_sin, y, out=half_sin)
-            half_sin *= half_sin
-            x += half_sin
-            x *= gain
-            _add_rows(x, out[lo : lo + t.shape[0]])
-        return out
-
+    # The squeezed body's projection coefficients (unused at r = 0):
     # |ch (e^{-i psi} z - e^{i(psi+theta)} conj(z) th)| = ch |z - e^{i phi} conj(z) th|, and
     # with z = e^{i phi/2} (p + i q), p = e1 . z and q = e2 . z, this is
     # ch |(1 - th) p + i (1 + th) q|, where ch (1 -+ th) = e^{-+r}.
@@ -137,30 +112,48 @@ def exponent_series(
     half_phi = psi + 0.5 * theta
     p_x, p_y = low * np.cos(half_phi), low * np.sin(half_phi)
     q_x, q_y = -high * np.sin(half_phi), high * np.cos(half_phi)
+    n, k = times.shape[0], omega.shape[0]
+    out = np.zeros(n)
+    rows = max(1, _CHUNK_ELEMENTS // max(k, 1))
+    bufs = [np.empty(k * min(n, rows)) for _ in range(3 if r == 0.0 else 5)]
     for lo in range(0, n, rows):
-        t, (_, _, x, y, spare), big_half_sin, big_half_versin, half_sin, half_versin = chunk(lo)
-        big_cos = 1.0 - 2.0 * big_half_versin
-        # The lab-frame z / (2a): x = C v/2 + V/2 - (b/a) S s/2
-        np.multiply(big_cos, half_versin, out=x)
-        x += big_half_versin
-        np.multiply(ratio, 2.0 * big_half_sin, out=y)
-        np.multiply(y, half_sin, out=spare)
-        x -= spare
-        # and y = (b/a) S (1/2 - v/2) - C s/2.
-        np.subtract(0.5, half_versin, out=half_versin)
-        y *= half_versin
-        half_sin *= big_cos
-        y -= half_sin
-        # p = e^{-r} e1 . z and q = e^{r} e2 . z (the gains swapped on the position axis)
-        p = np.multiply(x, p_x, out=half_versin)
-        np.multiply(y, p_y, out=spare)
-        p += spare
-        x *= q_x
-        y *= q_y
-        x += y
-        p *= p
-        x *= x
-        p += x
-        p *= gain
-        _add_rows(p, out[lo : lo + t.shape[0]])
+        t = times[lo : lo + rows]
+        work = [buf[: k * t.shape[0]].reshape(k, t.shape[0]) for buf in bufs]
+        big_half_sin, big_half_versin = _tan_half_sin(0.5 * omega_big * t, np.empty_like(t))
+        half_sin, half_versin = _tan_half_sin(np.multiply(half_omega, t, out=work[0]), work[1])
+        # Each body leaves the two squared quadrature components in c1 and c2.
+        if r == 0.0:
+            # In the frame rotating with mode k, z_k = alpha_k e^{-i w t} / (2 a pref_k)
+            # has the components (V - v)/2 and (s - (b/a) S)/2, each vanishing at t = 0.
+            c1 = np.subtract(big_half_versin, half_versin, out=half_versin)
+            c1 *= c1
+            np.multiply(ratio, big_half_sin, out=work[2])
+            c2 = np.subtract(half_sin, work[2], out=half_sin)
+            c2 *= c2
+        else:
+            x, y, spare = work[2:]
+            big_cos = 1.0 - 2.0 * big_half_versin
+            # The lab-frame z / (2a): x = C v/2 + V/2 - (b/a) S s/2
+            np.multiply(big_cos, half_versin, out=x)
+            x += big_half_versin
+            np.multiply(ratio, 2.0 * big_half_sin, out=y)
+            np.multiply(y, half_sin, out=spare)
+            x -= spare
+            # and y = (b/a) S (1/2 - v/2) - C s/2.
+            np.subtract(0.5, half_versin, out=half_versin)
+            y *= half_versin
+            half_sin *= big_cos
+            y -= half_sin
+            # c1 = e^{-r} e1 . z and c2 = e^{r} e2 . z (the gains swapped on the position axis)
+            c1 = np.multiply(x, p_x, out=half_versin)
+            np.multiply(y, p_y, out=spare)
+            c1 += spare
+            x *= q_x
+            y *= q_y
+            c2 = np.add(x, y, out=x)
+            c1 *= c1
+            c2 *= c2
+        c1 += c2
+        c1 *= gain
+        _add_rows(c1, out[lo : lo + t.shape[0]])
     return out

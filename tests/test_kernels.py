@@ -26,6 +26,7 @@ CASES = [
     (kernels.AXIS_MOMENTUM, 0.0, 0.0, 0.0),
     (kernels.AXIS_POSITION, 0.0, 0.0, 0.0),
     (kernels.AXIS_MOMENTUM, 0.7, 1.1, 0.3),
+    (kernels.AXIS_POSITION, 0.7, 1.1, 0.3),
     (kernels.AXIS_POSITION, 1.5, np.pi, 0.0),
     (kernels.AXIS_POSITION, 5.0, np.pi, 0.0),
 ]
@@ -64,6 +65,21 @@ def test_kernel_exact_at_zero_and_batch_invariant(axis, r, theta, psi):
         batched = series(times)
         for i in (0, 1, rows - 1, rows, rows + 4):
             assert series(times[i : i + 1])[0] == batched[i]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.7])
+@pytest.mark.parametrize("axis", [kernels.AXIS_MOMENTUM, kernels.AXIS_POSITION])
+def test_kernel_leaves_its_inputs_unchanged(axis, r):
+    # A C-contiguous float64 ``times`` reaches the kernel as the caller's own
+    # array, and the kernel reuses its work buffers in place.
+    for n_modes in (1, 9, 30):
+        _, omega, pref, weight = random_fraction(n_modes, 23)
+        times = np.random.default_rng(9).uniform(0.0, 1e-5, kernels._CHUNK_ELEMENTS // n_modes + 5)
+        inputs = (times, omega, pref, weight)
+        before = [x.copy() for x in inputs]
+        kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, 1.1, 0.3)
+        for x, y in zip(inputs, before):
+            assert x.tobytes() == y.tobytes()
 
 
 def mpmath_series(times, omega, pref, weight, axis, r, theta, psi):
