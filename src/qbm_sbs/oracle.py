@@ -20,14 +20,27 @@ but only the first K thermal levels enter Gamma and B, with K the smallest k
 whose dropped tail has 2 sum_{m >= k} sqrt(p_m) <= ``TRACE_TAIL_TOL``.
 Because the truncated unitaries are exactly unitary, this moves B by at most
 that tail and Gamma by at most sum_{m >= k} p_m; every result records K.
+
+``validate_closed_forms`` runs its BLAS and LAPACK calls on one thread and
+restores the previous thread counts when it returns or raises.  Its matrices
+have 1 to 618 rows, too small for OpenBLAS's threads to pay for their
+hand-offs: on two cores one thread runs the default grid in about a third
+of the time.  A threaded BLAS also splits its sums by the thread count, so
+``oracle.csv`` moved in the last digit with the machine's core count; on one
+thread it does not.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
+import fnmatch
 import functools
 import math
+import os
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +54,62 @@ EIG_CLAMP = -1.0e-10
 PASS_TOL = 1.0e-5
 # Bound on the trace-norm change from the levels the oracle leaves out of a cell.
 TRACE_TAIL_TOL = 1.0e-17
+# Thread-count symbols of one OpenBLAS, tried in this order: the 64-bit-integer
+# build in NumPy's wheel, the build in SciPy's wheel, a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The (get, set) thread-count functions of every OpenBLAS the process has loaded.
+
+    NumPy and SciPy each bundle their own OpenBLAS; both are loaded once this
+    module is imported.  Looked up on first use, not at import; empty where
+    no loaded library matches (no ``/proc/self/maps``, or another BLAS).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            mapped = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in mapped if fnmatch.fnmatch(os.path.basename(p), "*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int) -> Iterator[None]:
+    """Run the body with every loaded OpenBLAS on n threads, then restore each count.
+
+    The counts are process-wide: BLAS calls from other threads meanwhile run
+    on n threads too.
+    """
+    controls = _blas_thread_controls()
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(n)
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 @functools.lru_cache(maxsize=3)
@@ -371,6 +440,8 @@ def validate_closed_forms(
     ``TRACE_TAIL_TOL`` and Gamma by at most sum_{m >= K} p_m.  D and S are
     still built at the full guard dimension.
 
+    All BLAS and LAPACK work runs on one thread (``_blas_threads``).
+
     Guard violations flag the cell (and fail the report, with kept = 0)
     without aborting the remaining cells; a cell that no practical truncation
     holds is flagged with dim = 0.  Cells sharing an initial state
@@ -400,25 +471,26 @@ def validate_closed_forms(
         except TruncationError as exc:
             results |= {(nbar, e, r, theta): _flagged_cell(nbar, e, r, theta, 0, str(exc)) for e in etas}
 
-    for dim in sorted(by_dim):
-        displace = functools.cache(displace_fock)
-        for nbar, r, theta, etas in by_dim[dim]:
-            state = None  # (p, s) on the kept levels, built once per group; a guard failure flags every cell
-            for eta in etas:
-                try:
-                    if state is None:
-                        p = thermal_populations(nbar, dim)
-                        kept = kept_levels(p)
-                        s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
-                        state = p[:kept], s
-                    gf, bf = gamma_b_on_levels(*state, displace(eta, dim))
-                    cell = ValidationCell(
-                        nbar, eta, r, theta, dim, kept, True,
-                        gamma_closed(nbar, eta, r, theta), gf, b_closed(nbar, eta, r, theta), bf,
-                    )
-                except TruncationError as exc:
-                    cell = _flagged_cell(nbar, eta, r, theta, dim, str(exc))
-                results[(nbar, eta, r, theta)] = cell
+    with _blas_threads(1):
+        for dim in sorted(by_dim):
+            displace = functools.cache(displace_fock)
+            for nbar, r, theta, etas in by_dim[dim]:
+                state = None  # (p, s) on the kept levels, built once per group; a guard failure flags every cell
+                for eta in etas:
+                    try:
+                        if state is None:
+                            p = thermal_populations(nbar, dim)
+                            kept = kept_levels(p)
+                            s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
+                            state = p[:kept], s
+                        gf, bf = gamma_b_on_levels(*state, displace(eta, dim))
+                        cell = ValidationCell(
+                            nbar, eta, r, theta, dim, kept, True,
+                            gamma_closed(nbar, eta, r, theta), gf, b_closed(nbar, eta, r, theta), bf,
+                        )
+                    except TruncationError as exc:
+                        cell = _flagged_cell(nbar, eta, r, theta, dim, str(exc))
+                    results[(nbar, eta, r, theta)] = cell
 
     cells = [results[(nbar, eta, r, theta)] for nbar, eta, r, theta in grid]
     finite = [c for c in cells if c.guard_ok]

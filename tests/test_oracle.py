@@ -5,6 +5,7 @@ The oracle itself is validated here against analytically trivial facts
 occupation) before it is trusted to referee the closed forms.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -427,3 +428,47 @@ class TestValidationHarness:
             assert dim >= required_thermal_dim(nbar)
             if r > 0:
                 assert dim >= required_squeeze_dim(r)
+
+
+class TestBlasThreads:
+    """``validate_closed_forms`` pins every loaded OpenBLAS to one thread for its call only."""
+
+    @staticmethod
+    def _counts():
+        return [get() for get, _ in oracle._blas_thread_controls()]
+
+    def test_finds_the_openblas_numpy_reports(self):
+        # A wheel that renames the thread-count symbols fails here instead of
+        # silently running the oracle threaded again.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" in blas.lower():
+            assert len(oracle._blas_thread_controls()) >= 1
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_one_thread_inside_and_previous_counts_after(self, fails, monkeypatch):
+        inside = []
+
+        def recording(*args):
+            inside.append(self._counts())
+            if fails:
+                raise RuntimeError("cell failed")
+            return gamma_b_on_levels(*args)
+
+        monkeypatch.setattr(oracle, "gamma_b_on_levels", recording)
+        n = len(oracle._blas_thread_controls())
+        with oracle._blas_threads(2):
+            assert self._counts() == [2] * n
+            with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+                validate_closed_forms(grid=[(0.5, 0.3, 0.0, 0.0), (0.5, 1.0, 0.5, math.pi / 2)])
+            assert self._counts() == [2] * n
+        assert inside == [[1] * n] * (1 if fails else 2)
+
+    def test_cells_do_not_depend_on_the_process_thread_count(self):
+        # A threaded BLAS splits its sums by the thread count: on two threads
+        # b_fock of the eta = 0.3 cell here moves in its last digit.
+        grid = [(2.0, eta, 0.5, math.pi / 2) for eta in (0.3, 1.0, 2.0)]
+        runs = []
+        for n in (1, 2):
+            with oracle._blas_threads(n):
+                runs.append([(c.gamma_fock.hex(), c.b_fock.hex()) for c in validate_closed_forms(grid=grid).cells])
+        assert runs[0] == runs[1]
