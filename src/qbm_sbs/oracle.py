@@ -5,7 +5,9 @@ units eta = alpha * dX / sqrt(hbar); multiplicativity over modes reduces the
 many-oscillator observables to this case.  Truncation dimensions come from
 explicit tail bounds with a x2 safety margin, and every result records the
 dimension used: silent truncation is the main failure mode of Fock brute
-force.
+force.  The thermal bound, taken at the state's mean occupation,
+understates the number tail of a squeezed thermal state, so for squeezed
+cells the x2 margin, not the bound, carries the truncation (``auto_dim``).
 
 The displacement and squeezing unitaries are exponentials of tridiagonal
 generators (the squeezing generator one parity block at a time).  The
@@ -14,20 +16,14 @@ eigendecomposition per generator and dimension serves every parameter.  Every
 unitary is built from real products; a complex parameter adds a diagonal
 phase.
 
-A second tail bound decides which of those levels the per-cell products and
-the trace norm run on.  The unitaries are built at the full guard dimension,
-but only the first K thermal levels enter Gamma and B, with K the smallest k
-whose dropped tail has 2 sum_{m >= k} sqrt(p_m) <= ``TRACE_TAIL_TOL``.
-Because the truncated unitaries are exactly unitary, this moves B by at most
-that tail and Gamma by at most sum_{m >= k} p_m; every result records K.
+The unitaries are built at the full guard dimension, but only the first K
+thermal levels, set by a second tail bound (``kept_levels``), enter the
+per-cell products and the trace norm; every result records K.
 
-``validate_closed_forms`` runs its BLAS and LAPACK calls on one thread and
-restores the previous thread counts when it returns or raises.  Its matrices
-have 1 to 618 rows, too small for OpenBLAS's threads to pay for their
-hand-offs: on two cores one thread runs the default grid in about a third
-of the time.  A threaded BLAS also splits its sums by the thread count, so
-``oracle.csv`` moved in the last digit with the machine's core count; on one
-thread it does not.
+``validate_closed_forms`` runs its BLAS and LAPACK calls on one thread, then
+restores the previous counts.  Its matrices (1 to 618 rows) are too small
+for OpenBLAS's thread hand-offs to pay, and on one thread ``oracle.csv`` does
+not move in the last digit with the machine's core count.
 """
 
 from __future__ import annotations
@@ -145,8 +141,8 @@ def _exp_tridiagonal(z: complex, generator: str, dim: int) -> np.ndarray:
     U_oe = Vo sin(Lambda) Ve^T and U_eo = -U_oe^T, where Ve and Vo are the
     even and odd rows of V times the real sign Phi puts on each row.  V and
     Lambda / |z| are the cached eigenpairs of the |z| = 1 tridiagonal
-    (``_unit_eigenpairs``).  The result is unitary by construction, the
-    identity at z = 0, and real for real z.
+    (``_unit_eigenpairs``).  The result is unitary by construction, real for
+    real z, and the identity at z = 0 only up to rounding (2e-15 at dim 618).
     """
     z = complex(z)
     unit_lam, v = _unit_eigenpairs(generator, dim)
@@ -329,9 +325,8 @@ def gamma_b_on_levels(p: np.ndarray, s: np.ndarray | None, d: np.ndarray) -> tup
     ``s`` holds the first len(p) columns of S (None for S = 1), so
     X = S_K^dag (D S_K) costs O(dim^2 K).  Gamma = |sum_n p_n X_nn| and B is
     the sum of the singular values of sqrt(P) X sqrt(P).  A real D times a
-    complex S_K is one real product over the interleaved real and imaginary
-    parts of S_K, where NumPy would first make a complex copy of D (6 MB of
-    peak memory at the default grid's dim = 618; no measurable time).
+    complex S_K is one real product over S_K's interleaved real and imaginary
+    parts, without NumPy's complex copy of D (6 MB at dim = 618).
     """
     k = len(p)
     if s is None:
@@ -345,18 +340,29 @@ def gamma_b_on_levels(p: np.ndarray, s: np.ndarray | None, d: np.ndarray) -> tup
 
 @dataclass(frozen=True)
 class ValidationCell:
+    """A grid cell's inputs, truncation and Fock values; a flagged cell keeps no level."""
+
     nbar: float
     abs_eta: float
     r: float
     theta: float
     dim: int
-    kept: int
-    guard_ok: bool
-    gamma_closed: float
-    gamma_fock: float
-    b_closed: float
-    b_fock: float
+    kept: int = 0
+    gamma_fock: float = math.nan
+    b_fock: float = math.nan
     note: str = ""
+
+    @property
+    def guard_ok(self) -> bool:
+        return self.kept > 0
+
+    @property
+    def gamma_closed(self) -> float:
+        return gamma_closed(self.nbar, self.abs_eta, self.r, self.theta)
+
+    @property
+    def b_closed(self) -> float:
+        return b_closed(self.nbar, self.abs_eta, self.r, self.theta)
 
     @property
     def gamma_dev(self) -> float:
@@ -374,17 +380,18 @@ class ValidationCell:
 @dataclass(frozen=True)
 class ValidationReport:
     cells: tuple[ValidationCell, ...]
-    passed: bool
-    max_gamma_dev: float
-    max_b_dev: float
 
+    @property
+    def passed(self) -> bool:
+        return all(c.ok for c in self.cells)
 
-def _flagged_cell(nbar: float, eta: float, r: float, theta: float, dim: int, note: str) -> ValidationCell:
-    """A cell whose truncation guard failed: closed forms only, kept = 0 and no Fock values."""
-    return ValidationCell(
-        nbar, eta, r, theta, dim, 0, False,
-        gamma_closed(nbar, eta, r, theta), np.nan, b_closed(nbar, eta, r, theta), np.nan, note,
-    )
+    @property
+    def max_gamma_dev(self) -> float:
+        return max((c.gamma_dev for c in self.cells if c.guard_ok), default=math.nan)
+
+    @property
+    def max_b_dev(self) -> float:
+        return max((c.b_dev for c in self.cells if c.guard_ok), default=math.nan)
 
 
 def default_grid() -> list[tuple[float, float, float, float]]:
@@ -401,7 +408,13 @@ def default_grid() -> list[tuple[float, float, float, float]]:
 
 
 def auto_dim(nbar: float, eta: complex, r: float) -> int:
-    """Tail-bound truncation with a x2 safety margin."""
+    """Tail-bound truncation with a x2 safety margin.
+
+    The thermal bound at the mean occupation n_eff understates a squeezed
+    thermal tail: at (nbar, r) = (2, 1.0) the state keeps 7.3e-9 above dim/2.
+    The x2 margin, not the bound, carries those cells (a 2 dim build moves
+    their Gamma and B by at most 3.4e-15).
+    """
     n_eff = nbar * math.cosh(2.0 * r) + math.sinh(r) ** 2 + abs(eta) ** 2
     need = max(
         required_thermal_dim(n_eff),
@@ -442,12 +455,13 @@ def validate_closed_forms(
 
     All BLAS and LAPACK work runs on one thread (``_blas_threads``).
 
-    Guard violations flag the cell (and fail the report, with kept = 0)
-    without aborting the remaining cells; a cell that no practical truncation
-    holds is flagged with dim = 0.  Cells sharing an initial state
-    share S.  The groups run in order of guard dimension, and each dimension
-    caches its displacement unitaries by eta, so only one dimension's
-    unitaries and tridiagonal eigenpairs (``_unit_eigenpairs``) stay alive.
+    Cells sharing an initial state share dim, p and S, built in one ``try``.
+    A failed guard flags every cell of that state (kept = 0, NaN Fock values,
+    the reason in ``note``) and the report, but the other states still run;
+    one that no practical truncation holds is flagged with dim = 0.  dim, the
+    largest ``auto_dim`` over the state's eta, is at least twice every guard.
+    The groups run in order of dim, each caching its displacement unitaries
+    by eta, so only one dimension's unitaries and eigenpairs stay alive.
     """
     if grid is None:
         grid = default_grid()
@@ -469,34 +483,20 @@ def validate_closed_forms(
         try:
             by_dim.setdefault(max(auto_dim(nbar, e, r) for e in etas), []).append((nbar, r, theta, etas))
         except TruncationError as exc:
-            results |= {(nbar, e, r, theta): _flagged_cell(nbar, e, r, theta, 0, str(exc)) for e in etas}
+            results |= {(nbar, e, r, theta): ValidationCell(nbar, e, r, theta, 0, note=str(exc)) for e in etas}
 
     with _blas_threads(1):
         for dim in sorted(by_dim):
             displace = functools.cache(displace_fock)
             for nbar, r, theta, etas in by_dim[dim]:
-                state = None  # (p, s) on the kept levels, built once per group; a guard failure flags every cell
-                for eta in etas:
-                    try:
-                        if state is None:
-                            p = thermal_populations(nbar, dim)
-                            kept = kept_levels(p)
-                            s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
-                            state = p[:kept], s
-                        gf, bf = gamma_b_on_levels(*state, displace(eta, dim))
-                        cell = ValidationCell(
-                            nbar, eta, r, theta, dim, kept, True,
-                            gamma_closed(nbar, eta, r, theta), gf, b_closed(nbar, eta, r, theta), bf,
-                        )
-                    except TruncationError as exc:
-                        cell = _flagged_cell(nbar, eta, r, theta, dim, str(exc))
-                    results[(nbar, eta, r, theta)] = cell
+                try:
+                    p = thermal_populations(nbar, dim)
+                    kept = kept_levels(p)
+                    s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
+                    measured = [gamma_b_on_levels(p[:kept], s, displace(e, dim)) for e in etas]
+                    cells = [ValidationCell(nbar, e, r, theta, dim, kept, *gb) for e, gb in zip(etas, measured)]
+                except TruncationError as exc:
+                    cells = [ValidationCell(nbar, e, r, theta, dim, note=str(exc)) for e in etas]
+                results |= {(nbar, c.abs_eta, r, theta): c for c in cells}
 
-    cells = [results[(nbar, eta, r, theta)] for nbar, eta, r, theta in grid]
-    finite = [c for c in cells if c.guard_ok]
-    return ValidationReport(
-        cells=tuple(cells),
-        passed=all(c.ok for c in cells),
-        max_gamma_dev=max((c.gamma_dev for c in finite), default=math.nan),
-        max_b_dev=max((c.b_dev for c in finite), default=math.nan),
-    )
+    return ValidationReport(tuple(results[tuple(cell)] for cell in grid))

@@ -131,6 +131,12 @@ class TestSqueezing:
     def test_zero_parameter_is_identity(self):
         np.testing.assert_allclose(squeeze_fock(0.0, 16), np.eye(16), atol=1e-14)
 
+    @pytest.mark.parametrize("generator", ["displace", "even", "odd"])
+    @pytest.mark.parametrize("dim", [32, 128, 618])
+    def test_every_generator_at_zero_is_identity_up_to_rounding(self, generator, dim):
+        u = oracle._exp_tridiagonal(0.0, generator, dim)
+        assert np.max(np.abs(u - np.eye(len(u)))) <= 1e-14
+
     def test_squeezed_vacuum_occupation(self):
         r = 0.9
         dim = required_squeeze_dim(r)
@@ -294,12 +300,26 @@ class TestValidationHarness:
         assert all(c.guard_ok for c in report.cells)
 
     def test_forced_small_dimension_is_flagged_not_fatal(self, monkeypatch):
+        # A failed guard flags every cell of its initial state.
         monkeypatch.setattr(oracle, "auto_dim", lambda *args: 8)
-        report = validate_closed_forms(grid=[(0.5, 1.0, 0.0, 0.0)])
+        grid = [(0.5, eta, 0.0, 0.0) for eta in (0.3, 1.0, 2.0)]
+        report = validate_closed_forms(grid=grid)
+        for cell, params in zip(report.cells, grid):
+            assert (cell.dim, cell.kept, cell.guard_ok) == (8, 0, False)
+            assert math.isnan(cell.gamma_fock) and math.isnan(cell.b_fock)
+            assert cell.note != ""
+            assert cell.gamma_closed == gamma_closed(*params)
         assert not report.passed
-        assert not report.cells[0].guard_ok
-        assert report.cells[0].kept == 0
-        assert report.cells[0].note != ""
+        assert math.isnan(report.max_gamma_dev) and math.isnan(report.max_b_dev)
+
+    def test_verdicts_follow_the_stored_measurements(self):
+        (passing,) = validate_closed_forms(grid=[(0.5, 1.0, 0.0, 0.0)]).cells
+        flagged = oracle.ValidationCell(0.5, 2.0, 0.0, 0.0, passing.dim, note="x")
+        report = oracle.ValidationReport((flagged, passing))  # a NaN first would win an unfiltered max
+        assert not report.passed
+        assert report.max_gamma_dev == passing.gamma_dev
+        assert report.max_b_dev == passing.b_dev
+        assert (passing.guard_ok, flagged.guard_ok) == (passing.kept > 0, flagged.kept > 0) == (True, False)
 
     @pytest.mark.parametrize(
         "cell", [(0.0, 0.3, 8.0, 0.0), (0.0, 0.3, 5.0, 0.0), (1e16, 0.3, 0.0, 0.0)],
