@@ -6,6 +6,9 @@ Outputs are CSV files whose leading comment lines hold the resolved
 configuration and the physical constants, the one record of a run.  Identical
 configuration and master seed give byte-identical output.
 
+Only the ``oracle`` subcommand imports ``qbm_sbs.oracle`` and, with it,
+SciPy; every other subcommand, and ``--help``, loads numpy alone.
+
 Exit codes: 0 success, 1 oracle validation failure, 2 configuration error,
 3 I/O error.
 """
@@ -26,7 +29,6 @@ from .constants import HBAR, KB
 from .errors import ConfigurationError, QbmSbsError
 from .model import EnvInitialState, EnvironmentSpec, SqueezeAxis, SystemParams, sample_environment
 from .observables import DEFAULT_EPS, DEFAULT_EPS_HI, check_thresholds
-from .oracle import validate_closed_forms
 from .sweeps import cell_seeds, position_squeezing_comparison, temperature_sweep, time_series
 
 EXIT_OK = 0
@@ -217,6 +219,13 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
     )
     _write_output(out_dir, "sweep", config, "sweep", table)
     return EXIT_OK
+
+
+def validate_closed_forms():
+    """``oracle.validate_closed_forms()``; the oracle and SciPy load on the first call."""
+    from . import oracle
+
+    return oracle.validate_closed_forms()
 
 
 def cmd_oracle(config: RunConfig, out_dir: Path) -> int:

@@ -3,9 +3,9 @@
 Everything here works for a single bath mode in dimensionless displacement
 units eta = alpha * dX / sqrt(hbar); multiplicativity over modes reduces the
 many-oscillator observables to this case.  Truncation dimensions come from
-explicit tail bounds with a x2 safety margin, and every result records the
-dimension used: silent truncation is the main failure mode of Fock brute
-force.  The thermal bound, taken at the state's mean occupation,
+explicit tail bounds with a x2 safety margin, up to ``MAX_DIM``, and every
+result records the dimension used: silent truncation is the main failure mode
+of Fock brute force.  The thermal bound, taken at the state's mean occupation,
 understates the number tail of a squeezed thermal state, so for squeezed
 cells the x2 margin, not the bound, carries the truncation (``auto_dim``).
 
@@ -46,6 +46,8 @@ from .dynamics import alpha_gaussian
 from .errors import ConfigurationError, TruncationError
 
 TAIL_TOL = 1.0e-10
+# Largest truncation the oracle builds: one dense complex dim x dim matrix then takes 256 MB.
+MAX_DIM = 4096
 EIG_CLAMP = -1.0e-10
 PASS_TOL = 1.0e-5
 # Bound on the trace-norm change from the levels the oracle leaves out of a cell.
@@ -413,7 +415,8 @@ def auto_dim(nbar: float, eta: complex, r: float) -> int:
     The thermal bound at the mean occupation n_eff understates a squeezed
     thermal tail: at (nbar, r) = (2, 1.0) the state keeps 7.3e-9 above dim/2.
     The x2 margin, not the bound, carries those cells (a 2 dim build moves
-    their Gamma and B by at most 3.4e-15).
+    their Gamma and B by at most 3.4e-15).  A dim above ``MAX_DIM`` raises
+    ``TruncationError``.
     """
     n_eff = nbar * math.cosh(2.0 * r) + math.sinh(r) ** 2 + abs(eta) ** 2
     need = max(
@@ -422,6 +425,11 @@ def auto_dim(nbar: float, eta: complex, r: float) -> int:
         required_squeeze_dim(r) if r > 0 else 1,
         16,
     )
+    if 2 * need > MAX_DIM:
+        raise TruncationError(
+            f"(nbar, |eta|, r) = ({nbar:g}, {abs(eta):g}, {r:g}) needs dim {2 * need}, "
+            f"above MAX_DIM = {MAX_DIM}"
+        )
     return 2 * need
 
 
@@ -457,9 +465,10 @@ def validate_closed_forms(
 
     Cells sharing an initial state share dim, p and S, built in one ``try``.
     A failed guard flags every cell of that state (kept = 0, NaN Fock values,
-    the reason in ``note``) and the report, but the other states still run;
-    one that no practical truncation holds is flagged with dim = 0.  dim, the
-    largest ``auto_dim`` over the state's eta, is at least twice every guard.
+    the reason in ``note``) and the report, but the other states still run.
+    A cell that ``auto_dim`` cannot truncate (no practical bound, or a dim
+    above ``MAX_DIM``) is flagged alone, with dim = 0.  dim, the largest
+    ``auto_dim`` over the eta that remain, is at least twice every guard.
     The groups run in order of dim, each caching its displacement unitaries
     by eta, so only one dimension's unitaries and eigenpairs stay alive.
     """
@@ -480,10 +489,14 @@ def validate_closed_forms(
     results: dict[tuple[float, float, float, float], ValidationCell] = {}
     by_dim: dict[int, list[tuple[float, float, float, list[float]]]] = {}
     for (nbar, r, theta), etas in groups.items():
-        try:
-            by_dim.setdefault(max(auto_dim(nbar, e, r) for e in etas), []).append((nbar, r, theta, etas))
-        except TruncationError as exc:
-            results |= {(nbar, e, r, theta): ValidationCell(nbar, e, r, theta, 0, note=str(exc)) for e in etas}
+        dims = {}
+        for e in etas:
+            try:
+                dims[e] = auto_dim(nbar, e, r)
+            except TruncationError as exc:
+                results[nbar, e, r, theta] = ValidationCell(nbar, e, r, theta, 0, note=str(exc))
+        if dims:
+            by_dim.setdefault(max(dims.values()), []).append((nbar, r, theta, list(dims)))
 
     with _blas_threads(1):
         for dim in sorted(by_dim):

@@ -419,10 +419,42 @@ def test_any_set_value_exits_cleanly(key, raw):
         assert main(["--out", out, *FAST_TS, "--set", f"{key}={raw}", "timeseries"]) in (0, 2)
 
 
-def test_module_entry_point_runs(tmp_path):
+def _run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter, with this checkout's ``qbm_sbs`` first on its path."""
     src = str(Path(qbm_sbs.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    args = [sys.executable, "-m", "qbm_sbs", "--out", str(tmp_path), *FAST_TS, "timeseries"]
-    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs(tmp_path):
+    proc = _run_fresh("-m", "qbm_sbs", "--out", str(tmp_path), *FAST_TS, "timeseries")
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "timeseries.csv").is_file()
+
+
+# Runs ``python -m qbm_sbs`` and prints, after it exits, every module it loaded.
+_MODULES_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: print("modules:", *sorted(sys.modules)))
+runpy.run_module("qbm_sbs", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, loads_oracle",
+    [
+        (["--help"], False),
+        ([*FAST_TS, "timeseries"], False),
+        ([*FAST_SWEEP, "sweep"], False),
+        ([*FAST_CMP, "compare-squeezing"], False),
+        (["oracle"], True),
+    ],
+    ids=["help", "timeseries", "sweep", "compare-squeezing", "oracle"],
+)
+def test_only_the_oracle_command_imports_scipy(tmp_path, args, loads_oracle):
+    proc = _run_fresh("-c", _MODULES_AT_EXIT, "--out", str(tmp_path), *args)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split()[1:])
+    assert "qbm_sbs.cli" in modules
+    assert ("scipy.linalg" in modules) is loads_oracle
+    assert ("qbm_sbs.oracle" in modules) is loads_oracle

@@ -336,6 +336,22 @@ class TestValidationHarness:
         assert flagged.gamma_closed == gamma_closed(*cell)
         assert report.max_gamma_dev == first.gamma_dev
 
+    def test_cell_above_max_dim_is_flagged_alone(self):
+        big = {(0.0, 30.0, 0.0, 0.0): 41470, (0.0, 1.0, 3.0, 0.0): 32768}
+        # Checked first, so that a missing cap fails here instead of allocating gigabytes below.
+        for (nbar, eta, r, _), need in big.items():
+            with pytest.raises(TruncationError, match=f"needs dim {need}, above MAX_DIM"):
+                auto_dim(nbar, eta, r)
+        # (0, 0.3) shares its initial state with (0, 30) and still runs.
+        report = validate_closed_forms(grid=[(0.0, 0.3, 0.0, 0.0), *big])
+        first, *flagged = report.cells
+        assert first.ok and 0 < first.dim <= oracle.MAX_DIM
+        for cell, need in zip(flagged, big.values()):
+            assert (cell.guard_ok, cell.dim, cell.kept) == (False, 0, 0)
+            assert f"needs dim {need}" in cell.note
+        assert not report.passed
+        assert max(auto_dim(nbar, eta, r) for nbar, eta, r, _ in default_grid()) == 618
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             validate_closed_forms(grid=[])

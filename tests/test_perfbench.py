@@ -67,6 +67,17 @@ def test_traced_oracle_records_both_unitaries():
     assert "oracle.displace_fock" in names and "oracle.squeeze_fock" in names
 
 
+def test_traced_oracle_command_records_its_span(tmp_path, monkeypatch):
+    # The benchmark wraps cli.validate_closed_forms, the name cmd_oracle calls, for this span.
+    monkeypatch.setattr(oracle, "default_grid", lambda: [(0.0, 0.3, 0.0, 0.0), (0.5, 1.0, 0.5, 0.0)])
+    t = tracer.Tracer()
+    with t.installed(), t.span(tracer.ROOT):
+        assert cli.main(["--out", str(tmp_path), "oracle"]) == 0
+    tracer.required_spans(t.spans, run.ORACLE_SPANS)
+    (span,) = [s for s in t.spans if s.name == "oracle.validate_closed_forms"]
+    assert span.attrs == {"ok": 2, "total": 2}
+
+
 def test_kernel_probe_agrees_with_the_dynamics_reference():
     metrics, failures = probe.run_probe(0)
     assert failures == []
