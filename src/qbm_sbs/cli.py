@@ -83,14 +83,13 @@ class RunConfig:
         return cls(**{f.name: self.values[f.name] for f in fields(cls)})
 
     def temperature_grid(self) -> np.ndarray:
-        v = self.values
-        if v["n_temps"] < 1 or v["temp_min"] <= 0 or v["temp_max"] < v["temp_min"]:
-            raise ConfigurationError(
-                f"bad temperature grid: [{v['temp_min']}, {v['temp_max']}] with {v['n_temps']} points"
-            )
-        if v["n_temps"] == 1:
-            return np.array([v["temp_min"]])
-        return np.logspace(math.log10(v["temp_min"]), math.log10(v["temp_max"]), v["n_temps"])
+        n, lo, hi = self.n_temps, self.temp_min, self.temp_max
+        if n >= 1 and 0 < lo <= hi:
+            grid = np.logspace(math.log10(lo), math.log10(hi), n) if n > 1 else np.array([lo])
+            # n > 1 points need temp_min < temp_max, far enough apart that no two points coincide
+            if np.all(np.diff(grid) > 0):
+                return grid
+        raise ConfigurationError(f"bad temperature grid: [{lo}, {hi}] with {n} points")
 
 
 def _parse_value(key: str, raw: str):

@@ -10,6 +10,7 @@ into one unobserved (traced) fraction and one observed macro-fraction.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,10 +22,24 @@ DEFAULT_RESONANCE_RATIO = 5.0
 BATH_MASS = 1.0e-25  # kg; it cancels, since coupling_constant makes C_k^2 proportional to it
 
 
-def _require_finite(error: type[Exception], **values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise error(f"{name} must be finite, got {value}")
+def _check_bounds(
+    error: type[Exception],
+    values: Mapping[str, float],
+    positive: tuple[str, ...] = (),
+    nonnegative: tuple[str, ...] = (),
+    finite: tuple[str, ...] = (),
+) -> None:
+    """Raise ``error`` naming the first listed value that is not finite, else the
+    first ``positive`` one that is not > 0 or ``nonnegative`` one that is not >= 0."""
+    for name in (*positive, *nonnegative, *finite):
+        if not math.isfinite(values[name]):
+            raise error(f"{name} must be finite, got {values[name]}")
+    for name in positive:
+        if values[name] <= 0:
+            raise error(f"{name} must be > 0, got {values[name]}")
+    for name in nonnegative:
+        if values[name] < 0:
+            raise error(f"{name} must be >= 0, got {values[name]}")
 
 
 class SqueezeAxis(Enum):
@@ -48,13 +63,7 @@ class SystemParams:
     squeezing_axis: SqueezeAxis = SqueezeAxis.MOMENTUM
 
     def __post_init__(self):
-        _require_finite(DomainError, mass_M=self.mass_M, omega_big=self.omega_big, x_sep=self.x_sep)
-        if self.mass_M <= 0:
-            raise DomainError(f"mass_M must be > 0, got {self.mass_M}")
-        if self.omega_big <= 0:
-            raise DomainError(f"omega_big must be > 0, got {self.omega_big}")
-        if self.x_sep < 0:
-            raise DomainError(f"x_sep must be >= 0, got {self.x_sep}")
+        _check_bounds(DomainError, vars(self), positive=("mass_M", "omega_big"), nonnegative=("x_sep",))
         if not isinstance(self.squeezing_axis, SqueezeAxis):
             raise DomainError(f"squeezing_axis must be a SqueezeAxis, got {self.squeezing_axis!r}")
 
@@ -68,11 +77,7 @@ class Oscillator:
     coupling: float  # SI, fixed by the bilinear position-position interaction
 
     def __post_init__(self):
-        _require_finite(DomainError, omega=self.omega, mass=self.mass, coupling=self.coupling)
-        if self.omega <= 0:
-            raise DomainError(f"omega must be > 0, got {self.omega}")
-        if self.mass <= 0:
-            raise DomainError(f"mass must be > 0, got {self.mass}")
+        _check_bounds(DomainError, vars(self), positive=("omega", "mass"), finite=("coupling",))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,18 +107,13 @@ class EnvironmentSpec:
     traced_size: int
 
     def __post_init__(self):
-        _require_finite(
-            ConfigurationError,
-            omega_low=self.omega_low,
-            omega_high=self.omega_high,
-            gamma0=self.gamma0,
+        _check_bounds(
+            ConfigurationError, vars(self), positive=("gamma0",), finite=("omega_low", "omega_high")
         )
         if not 0 < self.omega_low <= self.omega_high:
             raise ConfigurationError(
                 f"need 0 < omega_low <= omega_high, got [{self.omega_low}, {self.omega_high}]"
             )
-        if self.gamma0 <= 0:
-            raise ConfigurationError(f"gamma0 must be > 0, got {self.gamma0}")
         if min(self.traced_size, self.macrofraction_size) < 1:
             raise ConfigurationError("traced_size and macrofraction_size must be >= 1")
 
@@ -140,16 +140,9 @@ class EnvInitialState:
     squeeze_theta: float = 0.0
 
     def __post_init__(self):
-        _require_finite(
-            DomainError,
-            temperature=self.temperature,
-            squeeze_r=self.squeeze_r,
-            squeeze_theta=self.squeeze_theta,
+        _check_bounds(
+            DomainError, vars(self), nonnegative=("temperature", "squeeze_r"), finite=("squeeze_theta",)
         )
-        if self.temperature < 0:
-            raise DomainError(f"temperature must be >= 0, got {self.temperature}")
-        if self.squeeze_r < 0:
-            raise DomainError(f"squeeze_r must be >= 0, got {self.squeeze_r}")
         # cosh(r) scales the squeeze everywhere: the oracle and
         # dynamics.alpha_gaussian use it, and the kernel's stretched quadrature
         # gains e^{2r}, about 4 cosh(r)^2.  An r whose cosh(r)^2 overflows is
@@ -166,10 +159,7 @@ def coupling_constant(mass_M: float, m_k: float, gamma0: float) -> float:
     Note the square of the result is proportional to ``m_k``, which cancels
     the 1/m_k of the displacement amplitude; the bath mass is cosmetic.
     """
-    if mass_M <= 0 or m_k <= 0 or gamma0 <= 0:
-        raise DomainError(
-            f"coupling_constant needs positive inputs, got M={mass_M}, m_k={m_k}, gamma0={gamma0}"
-        )
+    _check_bounds(DomainError, locals(), positive=("mass_M", "m_k", "gamma0"))
     c = 2.0 * math.sqrt(mass_M * m_k * gamma0 / math.pi)
     if not math.isfinite(c):
         raise DomainError(f"coupling constant overflows for M={mass_M}, m_k={m_k}, gamma0={gamma0}")

@@ -66,7 +66,6 @@ class SweepRow:
     b_avg: float
     b_stderr: float
     regime: RegimeFlag
-    all_converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,6 @@ def temperature_sweep(
                 b_avg=b_mean,
                 b_stderr=b_err,
                 regime=classify_regime(min(g_mean, 1.0), min(b_mean, 1.0), eps, eps_hi),
-                all_converged=all(r.converged for r in res),
             )
         )
     return rows

@@ -199,7 +199,7 @@ class TestExitCodes:
             assert "n_realizations must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
-    @pytest.mark.parametrize("item", ["temp_min=0", "temp_max=1e-5", "n_temps=0"])
+    @pytest.mark.parametrize("item", ["temp_min=0", "temp_max=1e-5", "n_temps=0", "temp_max=1e-3"])
     def test_bad_temperature_grid_is_config_error(self, tmp_path, capsys, item):
         assert main(["--out", str(tmp_path), *FAST_SWEEP, "--set", item, "sweep"]) == 2
         assert "bad temperature grid" in capsys.readouterr().err

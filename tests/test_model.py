@@ -40,10 +40,22 @@ class TestCouplingConstant:
         c2 = coupling_constant(lam * MASS_M, M_ENV, GAMMA0)
         assert c2 == pytest.approx(math.sqrt(lam) * c1, rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -1, 1), (1, 1, 0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (0, 1, 1, "mass_M must be > 0, got 0"),
+            (1, -1, 1, "m_k must be > 0, got -1"),
+            (1, 1, 0, "gamma0 must be > 0, got 0"),
+            (math.nan, 1, 1, "mass_M must be finite, got nan"),
+            (1, math.inf, 1, "m_k must be finite, got inf"),
+            (1, 1, -math.inf, "gamma0 must be finite, got -inf"),
+            (-1, 1, math.nan, "gamma0 must be finite, got nan"),
+        ],
+    )
     def test_nonpositive_inputs_rejected(self, bad):
-        with pytest.raises(DomainError):
-            coupling_constant(*bad)
+        *args, match = bad
+        with pytest.raises(DomainError, match=match):
+            coupling_constant(*args)
 
     def test_overflow_rejected(self):
         with pytest.raises(DomainError, match="overflows"):
@@ -52,12 +64,18 @@ class TestCouplingConstant:
 
 class TestTypes:
     def test_system_params_validation(self):
-        with pytest.raises(DomainError):
+        assert SystemParams(mass_M=1, omega_big=1, x_sep=0).x_sep == 0
+        with pytest.raises(DomainError, match="mass_M must be > 0, got -1"):
             SystemParams(mass_M=-1, omega_big=1, x_sep=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="mass_M must be > 0, got 0"):
+            SystemParams(mass_M=0, omega_big=1, x_sep=0)
+        with pytest.raises(DomainError, match="omega_big must be > 0, got 0"):
             SystemParams(mass_M=1, omega_big=0, x_sep=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="x_sep must be >= 0, got -1"):
             SystemParams(mass_M=1, omega_big=1, x_sep=-1)
+        # every finiteness check comes before any sign check
+        with pytest.raises(DomainError, match="x_sep must be finite"):
+            SystemParams(mass_M=-1, omega_big=1, x_sep=math.nan)
         for field in ("mass_M", "omega_big", "x_sep"):
             for bad in (math.nan, math.inf):
                 with pytest.raises(DomainError, match=f"{field} must be finite"):
@@ -69,10 +87,12 @@ class TestTypes:
             SystemParams(mass_M=1, omega_big=1, x_sep=0, squeezing_axis=axis)
 
     def test_oscillator_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="omega must be > 0, got 0"):
             Oscillator(omega=0, mass=1, coupling=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="mass must be > 0, got 0"):
             Oscillator(omega=1, mass=0, coupling=1)
+        with pytest.raises(DomainError, match="coupling must be finite"):
+            Oscillator(omega=0, mass=1, coupling=math.inf)
 
     @pytest.mark.parametrize("field", ["omega", "mass", "coupling"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -81,10 +101,14 @@ class TestTypes:
             Oscillator(**{"omega": 1.0, "mass": 1.0, "coupling": 1.0, field: bad})
 
     def test_env_state_validation(self):
-        with pytest.raises(DomainError):
+        state = EnvInitialState(temperature=0, squeeze_r=0)
+        assert (state.temperature, state.squeeze_r) == (0, 0)
+        with pytest.raises(DomainError, match="temperature must be >= 0, got -1"):
             EnvInitialState(temperature=-1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="squeeze_r must be >= 0, got -0.1"):
             EnvInitialState(temperature=1, squeeze_r=-0.1)
+        with pytest.raises(DomainError, match="squeeze_theta must be finite"):
+            EnvInitialState(temperature=-1, squeeze_theta=math.nan)
         with pytest.raises(DomainError, match="cosh"):
             EnvInitialState(temperature=1, squeeze_r=400)
         bad_values = {
@@ -96,6 +120,13 @@ class TestTypes:
             for bad in values:
                 with pytest.raises(DomainError, match=f"{field} must be finite"):
                     EnvInitialState(**{"temperature": 1, field: bad})
+
+    def test_spec_validation(self):
+        values = dict(macrofraction_size=30, omega_high=6e9, traced_size=30)
+        with pytest.raises(ConfigurationError, match="gamma0 must be > 0, got 0"):
+            EnvironmentSpec(**values, omega_low=3e9, gamma0=0)
+        with pytest.raises(ConfigurationError, match="omega_low must be finite"):
+            EnvironmentSpec(**values, omega_low=math.nan, gamma0=-1)
 
     def test_spec_rejects_empty_macrofraction(self):
         with pytest.raises(ConfigurationError, match="macrofraction_size"):
