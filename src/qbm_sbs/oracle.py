@@ -10,15 +10,21 @@ understates the number tail of a squeezed thermal state, so for squeezed
 cells the x2 margin, not the bound, carries the truncation (``auto_dim``).
 
 The displacement and squeezing unitaries are exponentials of tridiagonal
-generators (the squeezing generator one parity block at a time).  The
-eigenvectors of a generator do not depend on |eta| or r, so one
+generators of zero diagonal (the squeezing generator one parity block at a
+time).  Such a generator has eigenpairs (+mu, v) and (-mu, J v),
+J = diag((-1)^m), so its exponential turns each plane spanned by the even and
+the odd part of a v by |z| mu; an odd block size leaves one zero mode on the
+even levels, which stays put.  The planes do not depend on |eta| or r, so one
 eigendecomposition per generator and dimension serves every parameter.  Every
 unitary is built from real products; a complex parameter adds a diagonal
 phase.
 
-The unitaries are built at the full guard dimension, but only the first K
-thermal levels, set by a second tail bound (``kept_levels``), enter the
-per-cell products and the trace norm; every result records K.
+Validation builds neither unitary whole.  Per initial state it builds only
+the first K columns of the squeezing unitary, K set by a second tail bound
+(``kept_levels``), and takes them into the displacement's rotation planes
+once; each |eta| then costs one rotation, O(dim K^2) of products into a
+K x K matrix, and that matrix's SVD.  Every result records the guard
+dimension and K.
 
 ``validate_closed_forms`` runs its BLAS and LAPACK calls on one thread, then
 restores the previous counts.  Its matrices (1 to 618 rows) are too small
@@ -34,6 +40,7 @@ import ctypes
 import fnmatch
 import functools
 import math
+import numbers
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -111,13 +118,23 @@ def _blas_threads(n: int) -> Iterator[None]:
 
 
 @functools.lru_cache(maxsize=3)
-def _unit_eigenpairs(generator: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the |z| = 1 tridiagonal T of one generator at one truncation dim.
+def _unit_eigenpairs(generator: str, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotation planes of the |z| = 1 generator of one kind at one truncation dim.
 
     ``generator`` is "displace", or "even"/"odd" for one parity block of the
-    squeezing generator.  The eigenvectors do not depend on |z| and the
-    eigenvalues scale with it, so one entry serves every parameter; three
-    entries hold the generators of one dimension.  The arrays are read-only.
+    squeezing generator.  Returns (mu, E1, E2): the angles mu >= 0 per unit
+    |z|, ascending, and the plane vectors, E1 on the block's even levels and
+    E2 on its odd ones, both as square blocks of those levels' rows.  Column
+    j of E1 and of E2 span plane j; an odd block size leaves one zero mode,
+    the last column of E1.  The vectors do not depend on |z| and the angles
+    scale with it, so one entry serves every parameter; three entries hold the
+    generators of one dimension.  The arrays are read-only.
+
+    The tridiagonal T of zero diagonal and off-diagonal c (``eigh_tridiagonal``)
+    has eigenpairs (+mu, v) and (-mu, J v), J = diag((-1)^m), so the even and
+    odd parts of v have equal norms.  Each plane is formed from both
+    eigenvectors, averaged: using only the +mu half doubles the rounding.  The
+    rows carry the sign of Phi = diag(i^m) / i^(m % 2) (``_exp_tridiagonal``).
     """
     if generator == "displace":
         c = np.sqrt(np.arange(1.0, dim))
@@ -126,44 +143,73 @@ def _unit_eigenpairs(generator: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
         n = np.arange(dim - 2, dtype=float)
         c = (np.sqrt((n + 1.0) * (n + 2.0)) / 2.0)[0 if generator == "even" else 1 :: 2]
     lam, v = eigh_tridiagonal(np.zeros(len(c) + 1), c)
-    lam.flags.writeable = v.flags.writeable = False
-    return lam, v
+    size, half = len(lam), len(lam) // 2
+    v *= np.where(np.arange(size) % 4 < 2, 1.0, -1.0)[:, None]
+    plus, minus = v[:, size - half :], v[:, :half][:, ::-1]
+    flip = np.copysign(1.0, np.sum(plus[0::2] * minus[0::2], axis=0))
+    e1 = (plus[0::2] + flip * minus[0::2]) / math.sqrt(2.0)
+    e2 = (plus[1::2] - flip * minus[1::2]) / math.sqrt(2.0)
+    if size % 2:
+        e1 = np.column_stack([e1, v[0::2, half]])
+    mu = lam[size - half :]
+    for a in (mu, e1, e2):
+        a.flags.writeable = False
+    return mu, e1, e2
 
 
-def _exp_tridiagonal(z: complex, generator: str, dim: int) -> np.ndarray:
-    """exp(G) for the anti-Hermitian G with G[m+1, m] = z c_m, G[m, m+1] = -z^* c_m.
+def _rotated_blocks(
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], angle: np.ndarray
+) -> list[list[np.ndarray]]:
+    """The parity blocks [[ee, eo], [oe, oo]] of A^dag R B, R turning plane j by angle[j].
 
-    With z = |z| e^{i phi} and D = diag(e^{i m phi}), G(z) = D G(|z|) D^dag,
-    so exp(G(z)) = D exp(G(|z|)) D^dag; D is the real diag((-1)^m) for z < 0.
-    G(|z|) is real, and i G(|z|) = Phi T Phi^dag with Phi = diag(i^m) and T
-    the real symmetric tridiagonal of zero diagonal and off-diagonal |z| c.
-    Phi is real on the even levels and imaginary on the odd ones, so
-    exp(G(|z|)) = Phi V exp(-i Lambda) V^T Phi^dag is built from real parity
-    blocks: U_ee = Ve cos(Lambda) Ve^T, U_oo = Vo cos(Lambda) Vo^T,
-    U_oe = Vo sin(Lambda) Ve^T and U_eo = -U_oe^T, where Ve and Vo are the
-    even and odd rows of V times the real sign Phi puts on each row.  V and
-    Lambda / |z| are the cached eigenpairs of the |z| = 1 tridiagonal
-    (``_unit_eigenpairs``).  The result is unitary by construction, real for
-    real z, and the identity at z = 0 only up to rounding (2e-15 at dim 618).
+    A and B are given by their plane coordinates (on E1, on E2), each on the
+    columns of one parity: R takes E1's column j to cos E1_j + sin E2_j and
+    E2_j to cos E2_j - sin E1_j, and leaves a zero mode (E1's last column
+    when it has one more) in place.
     """
+    (ae, ao), (be, bo) = a, b
+    n = len(angle)
+    cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    cos_e = np.concatenate([cos, np.ones((len(be) - n, 1))])
+    return [
+        [ae.conj().T @ (cos_e * be), -(ae[:n].conj().T @ (sin * bo))],
+        [ao.conj().T @ (sin * be[:n]), ao.conj().T @ (cos * bo)],
+    ]
+
+
+def _angle_and_phase(z: complex) -> tuple[float, float]:
+    """(a, phi) with exp(G(z)) = W exp(a G(1)) W^dag, W = diag(e^{i m phi}); phi = 0 for real z."""
     z = complex(z)
-    unit_lam, v = _unit_eigenpairs(generator, dim)
-    lam = abs(z) * unit_lam
-    m = np.arange(len(lam))
-    sign = np.where(m % 4 < 2, 1.0, -1.0)  # i^m / i^(m % 2)
-    if z.imag == 0:
-        sign[1::2] *= math.copysign(1.0, z.real)
-    ve, vo = v[0::2] * sign[0::2, None], v[1::2] * sign[1::2, None]
-    cos, sin = np.cos(lam), np.sin(lam)
-    u = np.empty((len(lam), len(lam)))
-    u[0::2, 0::2] = (ve * cos) @ ve.T
-    u[1::2, 1::2] = (vo * cos) @ vo.T
-    u[1::2, 0::2] = (vo * sin) @ ve.T
-    u[0::2, 1::2] = -u[1::2, 0::2].T
-    if z.imag == 0:
-        return u
-    phase = np.exp(1j * cmath.phase(z) * m)
-    return u * np.outer(phase, phase.conj())
+    return (z.real, 0.0) if z.imag == 0 else (abs(z), cmath.phase(z))
+
+
+def _exp_tridiagonal(z: complex, generator: str, dim: int, columns: int | None = None) -> np.ndarray:
+    """The first ``columns`` columns (all by default) of exp(G) for the generator of one kind.
+
+    G is anti-Hermitian, G[m+1, m] = z c_m and G[m, m+1] = -z^* c_m.  With
+    z = |z| e^{i phi} and W = diag(e^{i m phi}), G(z) = W G(|z|) W^dag, so
+    exp(G(z)) = W exp(G(|z|)) W^dag; for z < 0, W = J turns each plane the
+    other way, so a real z needs no phase.  G(|z|) is real, and
+    i G(|z|) = Phi T Phi^dag with Phi = diag(i^m) and T the real symmetric
+    tridiagonal of zero diagonal and off-diagonal |z| c.  The eigenpairs
+    (+mu, v) and (-mu, J v) of T make exp(G(|z|)) = E R(|z| mu) E^T, with
+    E = [E1 | E2] the real plane vectors (``_unit_eigenpairs``) and R the
+    rotation by |z| mu_j in plane j, so level m's column is E R times row m
+    of E.  The result is real for real z, and the identity at z = 0 only up
+    to rounding (2.0e-15 at dim 618).
+    """
+    angle, phi = _angle_and_phase(z)
+    mu, e1, e2 = _unit_eigenpairs(generator, dim)
+    size = len(e1) + len(e2)
+    k = size if columns is None else columns
+    blocks = _rotated_blocks((e1.T, e2.T), (e1[: (k + 1) // 2].T, e2[: k // 2].T), angle * mu)
+    out = np.empty((size, k))
+    for i, j in np.ndindex(2, 2):
+        out[i::2, j::2] = blocks[i][j]
+    if phi == 0.0:
+        return out
+    phase = np.exp(1j * phi * np.arange(size))
+    return out * np.outer(phase, phase[:k].conj())
 
 
 def required_thermal_dim(nbar: float) -> int:
@@ -211,16 +257,20 @@ def required_displace_dim(eta: complex) -> int:
     return math.ceil(4.0 * (m * m + 3.0 * m + 4.0))
 
 
-def displace_fock(eta: complex, dim: int) -> np.ndarray:
-    """Displacement unitary exp(eta a^dag - eta^* a) in the truncated number basis.
-
-    Real for real eta.
-    """
+def _require_displace_dim(eta: complex, dim: int) -> None:
     need = required_displace_dim(eta)
     if dim < need:
         raise TruncationError(
             f"dim={dim} too small for displacement |eta|={abs(eta):g}; need dim >= {need}"
         )
+
+
+def displace_fock(eta: complex, dim: int) -> np.ndarray:
+    """Displacement unitary exp(eta a^dag - eta^* a) in the truncated number basis.
+
+    Real for real eta.
+    """
+    _require_displace_dim(eta, dim)
     return _exp_tridiagonal(eta, "displace", dim)
 
 
@@ -246,12 +296,14 @@ def required_squeeze_dim(r: float) -> int:
     return dim
 
 
-def squeeze_fock(xi: complex, dim: int) -> np.ndarray:
+def squeeze_fock(xi: complex, dim: int, columns: int | None = None) -> np.ndarray:
     """Squeezing unitary exp((xi a^dag^2 - xi^* a^2) / 2) in the truncated basis.
 
-    The sign convention is the one under which the closed-form amplitude
-    substitution for Gaussian initial states reproduces this operator's
-    action; see the oracle consistency tests.  Real for real xi.
+    Only its first ``columns`` columns (all by default), from the rotation
+    planes of each parity block.  The sign convention is the one under which
+    the closed-form amplitude substitution for Gaussian initial states
+    reproduces this operator's action; see the oracle consistency tests.
+    Real for real xi.
     """
     r = abs(xi)
     need = required_squeeze_dim(r)
@@ -259,11 +311,13 @@ def squeeze_fock(xi: complex, dim: int) -> np.ndarray:
         raise TruncationError(
             f"dim={dim} leaks squeezed population above dim/2 for r={r:g}; need dim >= {need}"
         )
-    even, odd = _exp_tridiagonal(xi, "even", dim), _exp_tridiagonal(xi, "odd", dim)
-    u = np.zeros((dim, dim), dtype=even.dtype)
-    u[0::2, 0::2] = even
-    u[1::2, 1::2] = odd
-    return u
+    k = dim if columns is None else columns
+    even = _exp_tridiagonal(xi, "even", dim, (k + 1) // 2)
+    odd = _exp_tridiagonal(xi, "odd", dim, k // 2)
+    s = np.zeros((dim, k), dtype=even.dtype)
+    s[0::2, 0::2] = even
+    s[1::2, 1::2] = odd
+    return s
 
 
 def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,23 +375,43 @@ def b_closed(nbar: float, eta: complex, r: float = 0.0, theta: float = 0.0) -> f
     return _exp_normal(-abs(et) ** 2 / (2.0 * (2.0 * nbar + 1.0)))
 
 
-def gamma_b_on_levels(p: np.ndarray, s: np.ndarray | None, d: np.ndarray) -> tuple[float, float]:
-    """Gamma and B of rho0 = S P S^dag and the displacement D, on the first len(p) levels.
+def in_displacement_planes(y: np.ndarray, eta: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Columns y of len(y) levels in the rotation planes of the displacement along eta.
 
-    ``s`` holds the first len(p) columns of S (None for S = 1), so
-    X = S_K^dag (D S_K) costs O(dim^2 K).  Gamma = |sum_n p_n X_nn| and B is
-    the sum of the singular values of sqrt(P) X sqrt(P).  A real D times a
-    complex S_K is one real product over S_K's interleaved real and imaginary
-    parts, without NumPy's complex copy of D (6 MB at dim = 618).
+    Each column of y lies on the levels of its own parity, as the columns of
+    S_K sqrt(P) for a squeezed thermal state do.  Returns U = E^T W^dag y as
+    (E1^T on y's even rows and columns, E2^T on its odd ones), W the diagonal
+    phase of eta (``_exp_tridiagonal``).  Only eta's direction enters, so one
+    U serves every |eta| of that direction, and a real y gives a real U for
+    real eta.
     """
-    k = len(p)
-    if s is None:
-        x = d[:k, :k]
-    else:
-        ds = (d @ s.view(float)).view(complex) if np.isrealobj(d) and np.iscomplexobj(s) else d @ s
-        x = s.conj().T @ ds
-    sqrt_p = np.sqrt(p)
-    return float(abs(np.dot(p, np.diagonal(x)))), float(np.sum(svdvals(sqrt_p[:, None] * x * sqrt_p)))
+    _, phi = _angle_and_phase(eta)
+    _, e1, e2 = _unit_eigenpairs("displace", len(y))
+    if phi != 0.0:
+        y = y * np.exp(-1j * phi * np.arange(len(y)))[:, None]
+    return _real_product(e1.T, y[0::2, 0::2]), _real_product(e2.T, y[1::2, 1::2])
+
+
+def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real a: a complex b is one real product over its interleaved parts."""
+    return (a @ np.ascontiguousarray(b).view(float)).view(complex) if np.iscomplexobj(b) else a @ b
+
+
+def gamma_b_on_levels(u: tuple[np.ndarray, np.ndarray], eta: complex) -> tuple[float, float]:
+    """Gamma and B of rho0 = Y Y^dag and the displacement D(eta), from U = E^T W^dag Y.
+
+    ``u`` is ``in_displacement_planes(y, eta)`` for Y = S_K sqrt(P), the first K
+    columns of the squeezing unitary times the square roots of the kept
+    populations.  X = Y^dag D Y = U^dag R U, in the order (even, odd) of Y's
+    columns, costs O(dim K^2): Gamma = |tr X| and B is the sum of the
+    singular values of X.  The displacement guard for |eta| at the dim of U
+    applies.
+    """
+    dim = len(u[0]) + len(u[1])
+    _require_displace_dim(eta, dim)
+    angle, _ = _angle_and_phase(eta)
+    x = np.block(_rotated_blocks(u, u, angle * _unit_eigenpairs("displace", dim)[0]))
+    return float(abs(np.trace(x))), float(np.sum(svdvals(x)))
 
 
 @dataclass(frozen=True)
@@ -458,29 +532,32 @@ def validate_closed_forms(
     a compression of the unitary D, so ||X|| <= 1: a dropped row or column m
     of sqrt(P) X sqrt(P) has 2-norm at most sqrt(p_m), and leaving out the
     levels m >= K moves B by at most 2 sum_{m >= K} sqrt(p_m) <=
-    ``TRACE_TAIL_TOL`` and Gamma by at most sum_{m >= K} p_m.  D and S are
-    still built at the full guard dimension.
+    ``TRACE_TAIL_TOL`` and Gamma by at most sum_{m >= K} p_m.  Neither D nor
+    S is built whole: per state, the first K columns of S at the full guard
+    dimension give Y = S_K sqrt(P) and U = ``in_displacement_planes(Y)``, and
+    ``gamma_b_on_levels(U, eta)`` turns U's planes for each eta.
 
     All BLAS and LAPACK work runs on one thread (``_blas_threads``).
 
-    Cells sharing an initial state share dim, p and S, built in one ``try``.
+    Cells sharing an initial state share dim, p, S_K and U, built in one ``try``.
     A failed guard flags every cell of that state (kept = 0, NaN Fock values,
     the reason in ``note``) and the report, but the other states still run.
     A cell that ``auto_dim`` cannot truncate (no practical bound, or a dim
     above ``MAX_DIM``) is flagged alone, with dim = 0.  dim, the largest
     ``auto_dim`` over the eta that remain, is at least twice every guard.
-    The groups run in order of dim, each caching its displacement unitaries
-    by eta, so only one dimension's unitaries and eigenpairs stay alive.
+    The groups run in order of dim, so only one dimension's rotation planes
+    stay cached.
     """
     if grid is None:
         grid = default_grid()
     if len(grid) == 0:
         raise ConfigurationError("validation grid is empty")
     for cell in grid:
-        if len(cell) != 4 or not all(map(math.isfinite, cell)) or cell[0] < 0 or cell[2] < 0:
+        real = len(cell) == 4 and all(isinstance(x, numbers.Real) and math.isfinite(x) for x in cell)
+        if not real or min(cell[:3]) < 0:
             raise ConfigurationError(
-                f"validation cell (nbar, |eta|, r, theta) = {cell} needs four finite entries, "
-                "nbar >= 0 and r >= 0"
+                f"validation cell (nbar, |eta|, r, theta) = {cell} needs four finite real entries, "
+                "nbar >= 0, |eta| >= 0 and r >= 0"
             )
 
     groups: dict[tuple[float, float, float], list[float]] = {}
@@ -500,13 +577,13 @@ def validate_closed_forms(
 
     with _blas_threads(1):
         for dim in sorted(by_dim):
-            displace = functools.cache(displace_fock)
             for nbar, r, theta, etas in by_dim[dim]:
                 try:
                     p = thermal_populations(nbar, dim)
                     kept = kept_levels(p)
-                    s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :kept] if r > 0 else None
-                    measured = [gamma_b_on_levels(p[:kept], s, displace(e, dim)) for e in etas]
+                    s = squeeze_fock(squeeze_parameter(r, theta), dim, kept) if r > 0 else np.eye(dim, kept)
+                    u = in_displacement_planes(s * np.sqrt(p[:kept]))
+                    measured = [gamma_b_on_levels(u, e) for e in etas]
                     cells = [ValidationCell(nbar, e, r, theta, dim, kept, *gb) for e, gb in zip(etas, measured)]
                 except TruncationError as exc:
                     cells = [ValidationCell(nbar, e, r, theta, dim, note=str(exc)) for e in etas]

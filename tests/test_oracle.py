@@ -5,12 +5,13 @@ The oracle itself is validated here against analytically trivial facts
 occupation) before it is trusted to referee the closed forms.
 """
 
+import cmath
 import contextlib
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal, expm, svdvals
 
 from qbm_sbs import oracle
 from qbm_sbs.constants import HBAR, KB
@@ -33,6 +34,7 @@ from qbm_sbs.oracle import (
     gamma_b_on_levels,
     gamma_closed,
     gamma_fock,
+    in_displacement_planes,
     kept_levels,
     overlap_fock,
     required_displace_dim,
@@ -115,6 +117,8 @@ class TestDisplacement:
     def test_undersized_dim_rejected(self):
         with pytest.raises(TruncationError):
             displace_fock(1.0, 16)
+        with pytest.raises(TruncationError):
+            gamma_b_on_levels(in_displacement_planes(np.eye(16, 1)), 1.0)
 
     @pytest.mark.parametrize("eta", [0.3, 2.0, -1.2, 0.8 - 0.3j, 1.5j])
     @pytest.mark.parametrize("extra", [0, 1])
@@ -251,7 +255,7 @@ class TestObservablePath:
     The path the CSVs come from (the disorder draw's prefactor, the kernel,
     the coth/tanh weight, the axis and its sign of tanh r, and the factor
     x_sep^2 / 2 hbar) on one reference-band mode, against ``gamma_b_on_levels``
-    with eta = alpha x_sep / sqrt(hbar) from ``dynamics`` and
+    with the complex eta = alpha x_sep / sqrt(hbar) from ``dynamics`` and
     nbar = 1 / expm1(hbar omega / kB T).  Multiplicativity over modes carries
     the check from one mode to a fraction.
     """
@@ -284,11 +288,51 @@ class TestObservablePath:
         dim = max(auto_dim(nbar, eta, r) for eta in etas)
         p = thermal_populations(nbar, dim)
         k = kept_levels(p)
-        s = squeeze_fock(squeeze_parameter(r, theta), dim)[:, :k] if r > 0 else None
+        s = squeeze_fock(squeeze_parameter(r, theta), dim, k) if r > 0 else np.eye(dim, k)
+        y = s * np.sqrt(p[:k])
         for t, eta in zip(PATH_TIMES, etas):
-            gamma, b = gamma_b_on_levels(p[:k], s, displace_fock(eta, dim))
+            gamma, b = gamma_b_on_levels(in_displacement_planes(y, eta), eta)
             assert abs(decoherence_factor(mode, sys_params, state, t) - gamma) <= PATH_TOL
             assert abs(overlap_macrofraction(mode, sys_params, state, t) - b) <= PATH_TOL
+
+
+# Dims with even and with odd squeezing parity blocks (15 and 309 levels have a zero mode).
+PLANE_DIMS = (30, 64, 618)
+PLANE_ETAS = (0.7, -0.7, 0.5 + 0.3j)
+PLANE_XIS = (0.5, -0.5, 0.5 * cmath.exp(1.1j))
+PLANE_TOL = 1e-13
+
+
+class TestRotationPlanes:
+    """The kept-column path (``in_displacement_planes``, ``gamma_b_on_levels``) against dense unitaries.
+
+    The identities hold at any truncation, so the squeezing guard, which bounds
+    leakage, is lifted where dim 30 is below it.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _any_squeeze_dim(self, monkeypatch):
+        monkeypatch.setattr(oracle, "required_squeeze_dim", lambda r: 1)
+
+    @pytest.mark.parametrize("dim", PLANE_DIMS)
+    def test_unitaries_stay_unitary(self, dim):
+        for u in [displace_fock(eta, dim) for eta in PLANE_ETAS] + [squeeze_fock(xi, dim) for xi in PLANE_XIS]:
+            assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= PLANE_TOL
+
+    @pytest.mark.parametrize("xi", PLANE_XIS, ids=["0.5", "-0.5", "complex"])
+    @pytest.mark.parametrize("dim", PLANE_DIMS)
+    def test_kept_columns_match_dense_products(self, dim, xi):
+        s = squeeze_fock(xi, dim)
+        d = {eta: displace_fock(eta, dim) for eta in PLANE_ETAS}
+        for k in (1, 7, dim):
+            sqrt_p = np.sqrt(0.4 * 0.6 ** np.arange(k))
+            y = squeeze_fock(xi, dim, k) * sqrt_p
+            assert np.max(np.abs(y - s[:, :k] * sqrt_p)) <= PLANE_TOL
+            for eta in PLANE_ETAS:
+                x = (s[:, :k] * sqrt_p).conj().T @ d[eta] @ (s[:, :k] * sqrt_p)
+                gamma, b = gamma_b_on_levels(in_displacement_planes(y, eta), eta)
+                assert abs(gamma - abs(np.trace(x))) <= PLANE_TOL
+                assert abs(b - np.sum(svdvals(x))) <= PLANE_TOL
 
 
 class TestValidationHarness:
@@ -368,10 +412,12 @@ class TestValidationHarness:
             (0.5, 1.0, 0.5, math.nan),
             (0.5, 1.0),
             (0.5, 1.0, 0.0, 0.0, 0.0),
+            (0.5, -0.7, 0.5, 1.0),
+            (0.5, 1.0 + 0.5j, 0.0, 0.0),
         ],
         ids=[
             "r<0", "nbar=-0.1", "nbar=-5", "nbar=nan", "eta=nan", "r=inf", "theta=nan",
-            "two entries", "five entries",
+            "two entries", "five entries", "eta<0", "complex eta",
         ],
     )
     def test_malformed_cell_rejected_before_any_work(self, cell, monkeypatch):
@@ -446,13 +492,16 @@ class TestValidationHarness:
         eta = max(e for nb, e, rr, th in default_grid() if (nb, rr, th) == (nbar, r, theta))
         dim = auto_dim(nbar, eta, r)
         p = thermal_populations(nbar, dim)
-        s = squeeze_fock(squeeze_parameter(r, theta), dim) if r > 0 else None
-        d = displace_fock(eta, dim)
+        s = squeeze_fock(squeeze_parameter(r, theta), dim) if r > 0 else np.eye(dim)
+
+        def on_levels(k):
+            return gamma_b_on_levels(in_displacement_planes(s[:, :k] * np.sqrt(p[:k]), eta), eta)
+
         occupied = np.count_nonzero(p)
-        full = gamma_b_on_levels(p[:occupied], None if s is None else s[:, :occupied], d)
+        full = on_levels(occupied)
         for tol in (TRACE_TAIL_TOL, 1e-8, 1e-4):
             k = kept_levels(p, tol)
-            cut = gamma_b_on_levels(p[:k], None if s is None else s[:, :k], d)
+            cut = on_levels(k)
             assert k < occupied
             assert abs(cut[0] - full[0]) <= p[k:].sum() + CUT_ROUNDING
             assert abs(cut[1] - full[1]) <= 2.0 * np.sqrt(p[k:]).sum() + CUT_ROUNDING

@@ -59,12 +59,16 @@ def test_traced_one_thread_sweep_records_every_layer_and_cell(tmp_path):
 
 
 def test_traced_oracle_records_both_unitaries():
+    # Validation builds only the kept squeezing columns and never a displacement
+    # unitary; the dense references still build one.
     t = tracer.Tracer()
     with t.installed():
         report = oracle.validate_closed_forms(grid=[(0.0, 0.3, 0.0, 0.0), (0.5, 1.0, 0.5, 0.0)])
+        validation = [s.name for s in t.spans]
+        oracle.gamma_fock(oracle.thermal_fock(0.5, 32), 1.0)
     assert report.passed
-    names = [s.name for s in t.spans]
-    assert "oracle.displace_fock" in names and "oracle.squeeze_fock" in names
+    assert "oracle.squeeze_fock" in validation and "oracle.displace_fock" not in validation
+    assert "oracle.displace_fock" in [s.name for s in t.spans[len(validation) :]]
 
 
 def test_traced_oracle_command_records_its_span(tmp_path, monkeypatch):
