@@ -22,8 +22,9 @@ phase.
 Validation builds neither unitary whole.  Per initial state it builds only
 the first K columns of the squeezing unitary, K set by a second tail bound
 (``kept_levels``), and takes them into the displacement's rotation planes
-once; each |eta| then costs one rotation, O(dim K^2) of products into a
-K x K matrix, and that matrix's SVD.  Every result records the guard
+once; each |eta| then costs one reflection, O(dim K^2) of products into
+the lower triangle of a K x K Hermitian matrix, and that matrix's
+eigenvalues (``gamma_b_on_levels``).  Every result records the guard
 dimension and K.
 
 ``validate_closed_forms`` runs its BLAS and LAPACK calls on one thread, then
@@ -157,6 +158,13 @@ def _unit_eigenpairs(generator: str, dim: int) -> tuple[np.ndarray, np.ndarray, 
     return mu, e1, e2
 
 
+def _plane_cos_sin(angle: np.ndarray, planes_e: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each plane's angle as columns, cos over E1's planes_e columns, 1 on a zero mode."""
+    cos = np.ones((planes_e, 1))
+    cos[: len(angle), 0] = np.cos(angle)
+    return cos, np.sin(angle)[:, None]
+
+
 def _rotated_blocks(
     a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], angle: np.ndarray
 ) -> list[list[np.ndarray]]:
@@ -169,11 +177,10 @@ def _rotated_blocks(
     """
     (ae, ao), (be, bo) = a, b
     n = len(angle)
-    cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
-    cos_e = np.concatenate([cos, np.ones((len(be) - n, 1))])
+    cos, sin = _plane_cos_sin(angle, len(be))
     return [
-        [ae.conj().T @ (cos_e * be), -(ae[:n].conj().T @ (sin * bo))],
-        [ao.conj().T @ (sin * be[:n]), ao.conj().T @ (cos * bo)],
+        [ae.conj().T @ (cos * be), -(ae[:n].conj().T @ (sin * bo))],
+        [ao.conj().T @ (sin * be[:n]), ao.conj().T @ (cos[:n] * bo)],
     ]
 
 
@@ -402,16 +409,32 @@ def gamma_b_on_levels(u: tuple[np.ndarray, np.ndarray], eta: complex) -> tuple[f
 
     ``u`` is ``in_displacement_planes(y, eta)`` for Y = S_K sqrt(P), the first K
     columns of the squeezing unitary times the square roots of the kept
-    populations.  X = Y^dag D Y = U^dag R U, in the order (even, odd) of Y's
-    columns, costs O(dim K^2): Gamma = |tr X| and B is the sum of the
-    singular values of X.  The displacement guard for |eta| at the dim of U
+    populations.  Gamma = |tr X| and B is the sum of the singular values of
+    X = Y^dag D Y = U^dag R U, in the order (even, odd) of Y's columns.
+
+    No SVD is taken: with J = diag((-1)^m), J D(eta) J = D(-eta) = D(eta)^dag,
+    and each column of Y lies on the levels of one parity, J Y = Y J_K with
+    J_K = +1 on the even columns and -1 on the odd ones.  So H = X J_K is
+    Hermitian, and as J_K is unitary the singular values of X are the moduli
+    of H's eigenvalues: B = sum |lambda(H)| and Gamma = |tr H_ee - tr H_oo|.
+    In the planes H = U^dag (R J_p) U, and R J_p is the symmetric reflection
+    [[cos, sin], [sin, -cos]] in each plane and +1 on a zero mode, so only
+    H's lower blocks ee, oe and oo are formed, O(dim K^2), and ``eigvalsh``
+    reads that triangle.  The displacement guard for |eta| at the dim of U
     applies.
     """
-    dim = len(u[0]) + len(u[1])
+    ue, uo = u
+    dim = len(ue) + len(uo)
     _require_displace_dim(eta, dim)
     angle, _ = _angle_and_phase(eta)
-    x = np.block(_rotated_blocks(u, u, angle * _unit_eigenpairs("displace", dim)[0]))
-    return float(abs(np.trace(x))), float(np.sum(svdvals(x)))
+    cos, sin = _plane_cos_sin(angle * _unit_eigenpairs("displace", dim)[0], len(ue))
+    n, k = len(sin), ue.shape[1]
+    h = np.zeros((k + uo.shape[1],) * 2, dtype=np.result_type(ue, uo))
+    h[:k, :k] = ue.conj().T @ (cos * ue)
+    h[k:, :k] = uo.conj().T @ (sin * ue[:n])
+    h[k:, k:] = -(uo.conj().T @ (cos[:n] * uo))
+    gamma = abs(np.trace(h[:k, :k]) - np.trace(h[k:, k:]))
+    return float(gamma), float(np.sum(np.abs(np.linalg.eigvalsh(h, UPLO="L"))))
 
 
 @dataclass(frozen=True)
@@ -526,7 +549,8 @@ def validate_closed_forms(
     exactly.  With X = S^dag D S for the displacement D,
     Gamma = |tr(D rho0)| = |sum_n p_n X_nn| and
     B = tr sqrt(sqrt(rho0) D rho0 D^dag sqrt(rho0)) is the sum of the singular
-    values of sqrt(P) X sqrt(P).
+    values of sqrt(P) X sqrt(P), taken as the moduli of the eigenvalues of a
+    Hermitian matrix that parity makes of it (``gamma_b_on_levels``).
 
     Only the first K = ``kept_levels(p)`` levels enter, one at nbar = 0.  X is
     a compression of the unitary D, so ||X|| <= 1: a dropped row or column m

@@ -55,7 +55,7 @@ from test_dynamics import make_osc
 # dense matrix exponential of the same truncated generator is the reference.
 EXPM_TOL = 1e-11
 # Rounding allowed on top of the tail bound when the kept-level results are
-# compared with the all-level ones: two SVDs of different sizes.
+# compared with the all-level ones: two Hermitian eigensolves of different sizes.
 CUT_ROUNDING = 1e-15
 
 
@@ -296,8 +296,9 @@ class TestObservablePath:
             assert abs(overlap_macrofraction(mode, sys_params, state, t) - b) <= PATH_TOL
 
 
-# Dims with even and with odd squeezing parity blocks (15 and 309 levels have a zero mode).
-PLANE_DIMS = (30, 64, 618)
+# Dims with even and with odd squeezing parity blocks (15 and 309 levels have a zero mode),
+# and an odd dim, whose displacement keeps a zero mode (E1's extra column).
+PLANE_DIMS = (30, 31, 64, 618)
 PLANE_ETAS = (0.7, -0.7, 0.5 + 0.3j)
 PLANE_XIS = (0.5, -0.5, 0.5 * cmath.exp(1.1j))
 PLANE_TOL = 1e-13
@@ -328,8 +329,12 @@ class TestRotationPlanes:
             sqrt_p = np.sqrt(0.4 * 0.6 ** np.arange(k))
             y = squeeze_fock(xi, dim, k) * sqrt_p
             assert np.max(np.abs(y - s[:, :k] * sqrt_p)) <= PLANE_TOL
+            # J_K: +1 on the columns on even levels, -1 on those on odd ones.
+            j_k = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
             for eta in PLANE_ETAS:
                 x = (s[:, :k] * sqrt_p).conj().T @ d[eta] @ (s[:, :k] * sqrt_p)
+                h = x * j_k
+                assert np.max(np.abs(h - h.conj().T)) <= 1e-15 * np.linalg.norm(x, 2)
                 gamma, b = gamma_b_on_levels(in_displacement_planes(y, eta), eta)
                 assert abs(gamma - abs(np.trace(x))) <= PLANE_TOL
                 assert abs(b - np.sum(svdvals(x))) <= PLANE_TOL
@@ -467,6 +472,16 @@ class TestValidationHarness:
         squeeze_dims = {c.dim for c in cells if c.r > 0}
         assert (len(displace_dims), len(squeeze_dims)) == (8, 5)
         assert len(calls) == len(displace_dims) + 2 * len(squeeze_dims) == 18
+
+    def test_validation_takes_no_svd(self, monkeypatch):
+        # B comes from the eigenvalues of the Hermitian X J_K; only the dense
+        # reference ``overlap_fock`` takes an SVD.
+        def refused(*args, **kwargs):
+            raise AssertionError("validation called svdvals")
+
+        monkeypatch.setattr(oracle, "svdvals", refused)
+        cells = validate_closed_forms().cells
+        assert len(cells) == 63 and all(c.ok for c in cells)
 
     def test_default_grid_keeps_fewer_levels(self):
         report = validate_closed_forms()
