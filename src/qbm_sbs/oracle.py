@@ -165,25 +165,6 @@ def _plane_cos_sin(angle: np.ndarray, planes_e: int) -> tuple[np.ndarray, np.nda
     return cos, np.sin(angle)[:, None]
 
 
-def _rotated_blocks(
-    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], angle: np.ndarray
-) -> list[list[np.ndarray]]:
-    """The parity blocks [[ee, eo], [oe, oo]] of A^dag R B, R turning plane j by angle[j].
-
-    A and B are given by their plane coordinates (on E1, on E2), each on the
-    columns of one parity: R takes E1's column j to cos E1_j + sin E2_j and
-    E2_j to cos E2_j - sin E1_j, and leaves a zero mode (E1's last column
-    when it has one more) in place.
-    """
-    (ae, ao), (be, bo) = a, b
-    n = len(angle)
-    cos, sin = _plane_cos_sin(angle, len(be))
-    return [
-        [ae.conj().T @ (cos * be), -(ae[:n].conj().T @ (sin * bo))],
-        [ao.conj().T @ (sin * be[:n]), ao.conj().T @ (cos[:n] * bo)],
-    ]
-
-
 def _angle_and_phase(z: complex) -> tuple[float, float]:
     """(a, phi) with exp(G(z)) = W exp(a G(1)) W^dag, W = diag(e^{i m phi}); phi = 0 for real z."""
     z = complex(z)
@@ -202,17 +183,23 @@ def _exp_tridiagonal(z: complex, generator: str, dim: int, columns: int | None =
     (+mu, v) and (-mu, J v) of T make exp(G(|z|)) = E R(|z| mu) E^T, with
     E = [E1 | E2] the real plane vectors (``_unit_eigenpairs``) and R the
     rotation by |z| mu_j in plane j, so level m's column is E R times row m
-    of E.  The result is real for real z, and the identity at z = 0 only up
-    to rounding (2.0e-15 at dim 618).
+    of E.  R takes E1's column j to cos E1_j + sin E2_j and E2_j to
+    cos E2_j - sin E1_j, and leaves a zero mode (E1's last column when it has
+    one more) in place; the four parity blocks of E R E^T are written where
+    they belong.  The result is real for real z, and the identity at z = 0
+    only up to rounding (2.0e-15 at dim 618).
     """
     angle, phi = _angle_and_phase(z)
     mu, e1, e2 = _unit_eigenpairs(generator, dim)
-    size = len(e1) + len(e2)
+    size, n = len(e1) + len(e2), len(mu)
     k = size if columns is None else columns
-    blocks = _rotated_blocks((e1.T, e2.T), (e1[: (k + 1) // 2].T, e2[: k // 2].T), angle * mu)
+    be, bo = e1[: (k + 1) // 2].T, e2[: k // 2].T
+    cos, sin = _plane_cos_sin(angle * mu, len(be))
     out = np.empty((size, k))
-    for i, j in np.ndindex(2, 2):
-        out[i::2, j::2] = blocks[i][j]
+    out[0::2, 0::2] = e1 @ (cos * be)
+    out[0::2, 1::2] = -(e1[:, :n] @ (sin * bo))
+    out[1::2, 0::2] = e2 @ (sin * be[:n])
+    out[1::2, 1::2] = e2 @ (cos[:n] * bo)
     if phi == 0.0:
         return out
     phase = np.exp(1j * phi * np.arange(size))
@@ -231,13 +218,15 @@ def required_thermal_dim(nbar: float) -> int:
     return max(1, math.ceil(math.log(TAIL_TOL) / math.log(q)))
 
 
+def _require_dim(dim: int, need: int, what: str) -> None:
+    """Raise ``TruncationError`` naming ``what`` unless dim >= need."""
+    if dim < need:
+        raise TruncationError(f"dim={dim} too small for {what}; need dim >= {need}")
+
+
 def thermal_populations(nbar: float, dim: int) -> np.ndarray:
     """Number-state populations of a thermal state; the truncated tail is not renormalized."""
-    need = required_thermal_dim(nbar)
-    if dim < need:
-        raise TruncationError(
-            f"dim={dim} keeps a thermal tail above {TAIL_TOL:g} for nbar={nbar}; need dim >= {need}"
-        )
+    _require_dim(dim, required_thermal_dim(nbar), f"a thermal tail below {TAIL_TOL:g} at nbar={nbar}")
     n = np.arange(dim, dtype=float)
     if nbar == 0:
         p = np.zeros(dim)
@@ -264,20 +253,12 @@ def required_displace_dim(eta: complex) -> int:
     return math.ceil(4.0 * (m * m + 3.0 * m + 4.0))
 
 
-def _require_displace_dim(eta: complex, dim: int) -> None:
-    need = required_displace_dim(eta)
-    if dim < need:
-        raise TruncationError(
-            f"dim={dim} too small for displacement |eta|={abs(eta):g}; need dim >= {need}"
-        )
-
-
 def displace_fock(eta: complex, dim: int) -> np.ndarray:
     """Displacement unitary exp(eta a^dag - eta^* a) in the truncated number basis.
 
     Real for real eta.
     """
-    _require_displace_dim(eta, dim)
+    _require_dim(dim, required_displace_dim(eta), f"displacement |eta|={abs(eta):g}")
     return _exp_tridiagonal(eta, "displace", dim)
 
 
@@ -313,11 +294,7 @@ def squeeze_fock(xi: complex, dim: int, columns: int | None = None) -> np.ndarra
     Real for real xi.
     """
     r = abs(xi)
-    need = required_squeeze_dim(r)
-    if dim < need:
-        raise TruncationError(
-            f"dim={dim} leaks squeezed population above dim/2 for r={r:g}; need dim >= {need}"
-        )
+    _require_dim(dim, required_squeeze_dim(r), f"squeezing r={r:g}")
     k = dim if columns is None else columns
     even = _exp_tridiagonal(xi, "even", dim, (k + 1) // 2)
     odd = _exp_tridiagonal(xi, "odd", dim, k // 2)
@@ -425,7 +402,7 @@ def gamma_b_on_levels(u: tuple[np.ndarray, np.ndarray], eta: complex) -> tuple[f
     """
     ue, uo = u
     dim = len(ue) + len(uo)
-    _require_displace_dim(eta, dim)
+    _require_dim(dim, required_displace_dim(eta), f"displacement |eta|={abs(eta):g}")
     angle, _ = _angle_and_phase(eta)
     cos, sin = _plane_cos_sin(angle * _unit_eigenpairs("displace", dim)[0], len(ue))
     n, k = len(sin), ue.shape[1]
@@ -512,16 +489,18 @@ def auto_dim(nbar: float, eta: complex, r: float) -> int:
     The thermal bound at the mean occupation n_eff understates a squeezed
     thermal tail: at (nbar, r) = (2, 1.0) the state keeps 7.3e-9 above dim/2.
     The x2 margin, not the bound, carries those cells (a 2 dim build moves
-    their Gamma and B by at most 3.4e-15).  A dim above ``MAX_DIM`` raises
+    their Gamma and B by at most 3.4e-15).  A dim above ``MAX_DIM``, or a
+    bound that overflows a float (cosh 2r at r = 356, |eta|^2 at 1e200), raises
     ``TruncationError``.
     """
-    n_eff = nbar * math.cosh(2.0 * r) + math.sinh(r) ** 2 + abs(eta) ** 2
-    need = max(
-        required_thermal_dim(n_eff),
-        required_displace_dim(eta),
-        required_squeeze_dim(r) if r > 0 else 1,
-        16,
-    )
+    try:
+        n_eff = nbar * math.cosh(2.0 * r) + math.sinh(r) ** 2 + abs(eta) ** 2
+        need = max(required_thermal_dim(n_eff), required_displace_dim(eta), required_squeeze_dim(r), 16)
+    except OverflowError as exc:
+        raise TruncationError(
+            f"no practical truncation for (nbar, |eta|, r) = ({nbar:g}, {abs(eta):g}, {r:g}): "
+            "its tail bounds overflow"
+        ) from exc
     if 2 * need > MAX_DIM:
         raise TruncationError(
             f"(nbar, |eta|, r) = ({nbar:g}, {abs(eta):g}, {r:g}) needs dim {2 * need}, "
@@ -584,33 +563,26 @@ def validate_closed_forms(
                 "nbar >= 0, |eta| >= 0 and r >= 0"
             )
 
-    groups: dict[tuple[float, float, float], list[float]] = {}
-    for nbar, eta, r, theta in grid:
-        groups.setdefault((nbar, r, theta), []).append(eta)
+    groups: dict[tuple[float, float, float], dict[float, int]] = {}
     results: dict[tuple[float, float, float, float], ValidationCell] = {}
-    by_dim: dict[int, list[tuple[float, float, float, list[float]]]] = {}
-    for (nbar, r, theta), etas in groups.items():
-        dims = {}
-        for e in etas:
-            try:
-                dims[e] = auto_dim(nbar, e, r)
-            except TruncationError as exc:
-                results[nbar, e, r, theta] = ValidationCell(nbar, e, r, theta, 0, note=str(exc))
-        if dims:
-            by_dim.setdefault(max(dims.values()), []).append((nbar, r, theta, list(dims)))
+    for nbar, eta, r, theta in grid:
+        try:  # auto_dim runs before setdefault, so a flagged cell opens no group
+            groups.setdefault((nbar, r, theta), {})[eta] = auto_dim(nbar, eta, r)
+        except TruncationError as exc:
+            results[nbar, eta, r, theta] = ValidationCell(nbar, eta, r, theta, 0, note=str(exc))
 
     with _blas_threads(1):
-        for dim in sorted(by_dim):
-            for nbar, r, theta, etas in by_dim[dim]:
-                try:
-                    p = thermal_populations(nbar, dim)
-                    kept = kept_levels(p)
-                    s = squeeze_fock(squeeze_parameter(r, theta), dim, kept) if r > 0 else np.eye(dim, kept)
-                    u = in_displacement_planes(s * np.sqrt(p[:kept]))
-                    measured = [gamma_b_on_levels(u, e) for e in etas]
-                    cells = [ValidationCell(nbar, e, r, theta, dim, kept, *gb) for e, gb in zip(etas, measured)]
-                except TruncationError as exc:
-                    cells = [ValidationCell(nbar, e, r, theta, dim, note=str(exc)) for e in etas]
-                results |= {(nbar, c.abs_eta, r, theta): c for c in cells}
+        for (nbar, r, theta), dims in sorted(groups.items(), key=lambda group: max(group[1].values())):
+            dim = max(dims.values())
+            try:
+                p = thermal_populations(nbar, dim)
+                kept = kept_levels(p)
+                s = squeeze_fock(squeeze_parameter(r, theta), dim, kept) if r > 0 else np.eye(dim, kept)
+                u = in_displacement_planes(s * np.sqrt(p[:kept]))
+                measured = [gamma_b_on_levels(u, e) for e in dims]
+                cells = [ValidationCell(nbar, e, r, theta, dim, kept, *gb) for e, gb in zip(dims, measured)]
+            except TruncationError as exc:
+                cells = [ValidationCell(nbar, e, r, theta, dim, note=str(exc)) for e in dims]
+            results |= {(nbar, c.abs_eta, r, theta): c for c in cells}
 
     return ValidationReport(tuple(results[tuple(cell)] for cell in grid))

@@ -185,6 +185,23 @@ class TestSqueezing:
         assert squeeze_parameter(0.5, math.pi / 2) == pytest.approx(0.5j, abs=1e-16)
 
 
+# Each truncation guard with the dim it needs: that dim passes and one less raises.
+GUARDS = {
+    "thermal": (lambda dim: thermal_populations(2.0, dim), 57),
+    "displace": (lambda dim: displace_fock(1.0, dim), 32),
+    "squeeze": (lambda dim: squeeze_fock(0.5, dim, 1), 64),
+    "planes": (lambda dim: gamma_b_on_levels(in_displacement_planes(np.eye(dim, 1)), 1.0), 32),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_guard_passes_at_its_dim_and_raises_one_below(guard):
+    build, need = GUARDS[guard]
+    build(need)
+    with pytest.raises(TruncationError, match=f"need dim >= {need}$"):
+        build(need - 1)
+
+
 class TestOverlap:
     def _coherent(self, eta, dim):
         d = displace_fock(eta, dim)
@@ -371,8 +388,10 @@ class TestValidationHarness:
         assert (passing.guard_ok, flagged.guard_ok) == (passing.kept > 0, flagged.kept > 0) == (True, False)
 
     @pytest.mark.parametrize(
-        "cell", [(0.0, 0.3, 8.0, 0.0), (0.0, 0.3, 5.0, 0.0), (1e16, 0.3, 0.0, 0.0)],
-        ids=["r=8", "r=5", "nbar=1e16"],
+        "cell",
+        [(0.0, 0.3, 8.0, 0.0), (0.0, 0.3, 5.0, 0.0), (1e16, 0.3, 0.0, 0.0), (0.0, 0.3, 356.0, 0.0),
+         (0.0, 0.3, 500.0, 0.0)],
+        ids=["r=8", "r=5", "nbar=1e16", "r=356", "r=500"],  # the last two overflow cosh(2r)
     )
     def test_cell_without_practical_truncation_is_flagged_not_fatal(self, cell):
         report = validate_closed_forms(grid=[(0.0, 0.3, 0.0, 0.0), cell])
@@ -400,6 +419,11 @@ class TestValidationHarness:
             assert f"needs dim {need}" in cell.note
         assert not report.passed
         assert max(auto_dim(nbar, eta, r) for nbar, eta, r, _ in default_grid()) == 618
+
+    def test_cells_do_not_depend_on_grid_order(self):
+        grid = default_grid()
+        forward = validate_closed_forms(grid).cells
+        assert validate_closed_forms(grid[::-1]).cells == forward[::-1]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
