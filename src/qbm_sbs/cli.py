@@ -82,15 +82,6 @@ class RunConfig:
         """The parameter dataclass ``cls`` built from the config keys that name its fields."""
         return cls(**{f.name: self.values[f.name] for f in fields(cls)})
 
-    def temperature_grid(self) -> np.ndarray:
-        n, lo, hi = self.n_temps, self.temp_min, self.temp_max
-        if n >= 1 and 0 < lo <= hi:
-            grid = np.logspace(math.log10(lo), math.log10(hi), n) if n > 1 else np.array([lo])
-            # n > 1 points need temp_min < temp_max, far enough apart that no two points coincide
-            if np.all(np.diff(grid) > 0):
-                return grid
-        raise ConfigurationError(f"bad temperature grid: [{lo}, {hi}] with {n} points")
-
 
 def _parse_value(key: str, raw: str):
     """Parse one ASCII value by its schema type: finite floats and integers >= 0 only."""
@@ -203,7 +194,9 @@ def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
         config.params(EnvironmentSpec),
         config.params(SystemParams),
         config.params(EnvInitialState),
-        config.temperature_grid(),
+        temp_min=config.temp_min,
+        temp_max=config.temp_max,
+        n_temps=config.n_temps,
         n_realizations=config.n_realizations,
         tau=config.tau,
         n_time_samples=config.n_time_samples,

@@ -54,7 +54,8 @@ from .dynamics import alpha_gaussian
 from .errors import ConfigurationError, TruncationError
 
 TAIL_TOL = 1.0e-10
-# Largest truncation the oracle builds: one dense complex dim x dim matrix then takes 256 MB.
+# Largest truncation the oracle builds: validation's largest array, the real dim x dim
+# eigenvector matrix from eigh_tridiagonal, then takes 128 MB.
 MAX_DIM = 4096
 EIG_CLAMP = -1.0e-10
 PASS_TOL = 1.0e-5
@@ -347,16 +348,32 @@ def _exp_normal(x: float) -> float:
     return value if value >= sys.float_info.min else 0.0
 
 
+def _transformed_abs_sq(eta: complex, r: float, theta: float) -> float:
+    """|eta~|^2 = |alpha_gaussian(eta, r, theta, 0)|^2, with its exact limit where that overflows.
+
+    Past the float range (cosh r = inf times an exactly cancelled 0, or
+    |eta~|^2 above 1.8e308) the value comes from the exact form
+    |eta|^2 (e^{-2r} cos^2 phi + e^{2r} sin^2 phi), phi = theta / 2 - arg eta,
+    each term from its logarithm: no factor overflows, and a term below or
+    above the float range comes out 0 or inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sq = abs(alpha_gaussian(eta, r, theta, 0.0)) ** 2
+        if not np.isfinite(sq):
+            phi = theta / 2.0 - np.angle(eta)
+            logs = np.log(abs(eta)) + np.log(np.abs([np.cos(phi), np.sin(phi)])) + [-r, r]
+            sq = np.exp(2.0 * logs).sum()
+    return float(sq)
+
+
 def gamma_closed(nbar: float, eta: complex, r: float = 0.0, theta: float = 0.0) -> float:
     """Closed-form single-mode decoherence factor, coth weight as 2 nbar + 1."""
-    et = alpha_gaussian(eta, r, theta, 0.0)
-    return _exp_normal(-abs(et) ** 2 * (2.0 * nbar + 1.0) / 2.0)
+    return _exp_normal(-_transformed_abs_sq(eta, r, theta) * (2.0 * nbar + 1.0) / 2.0)
 
 
 def b_closed(nbar: float, eta: complex, r: float = 0.0, theta: float = 0.0) -> float:
     """Closed-form single-mode generalized overlap, tanh weight as 1/(2 nbar + 1)."""
-    et = alpha_gaussian(eta, r, theta, 0.0)
-    return _exp_normal(-abs(et) ** 2 / (2.0 * (2.0 * nbar + 1.0)))
+    return _exp_normal(-_transformed_abs_sq(eta, r, theta) / (2.0 * (2.0 * nbar + 1.0)))
 
 
 def in_displacement_planes(y: np.ndarray, eta: complex = 1.0) -> tuple[np.ndarray, np.ndarray]:

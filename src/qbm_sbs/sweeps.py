@@ -187,7 +187,9 @@ def temperature_sweep(
     spec: EnvironmentSpec,
     sys: SystemParams,
     env_state: EnvInitialState,
-    temperatures: np.ndarray,
+    temp_min: float,
+    temp_max: float,
+    n_temps: int,
     n_realizations: int,
     tau: float,
     n_time_samples: int,
@@ -198,15 +200,18 @@ def temperature_sweep(
 ) -> list[SweepRow]:
     """Ensemble mean and standard error of both time averages per temperature.
 
-    Realization seeds derive from ``master_seed`` and the (temperature,
-    realization) cell index.  ``env_state.temperature`` is overridden per
-    grid point.
+    The temperatures are ``n_temps`` log-spaced points on [temp_min, temp_max]
+    (``[temp_min]`` for one point).  Realization seeds derive from
+    ``master_seed`` and the (temperature, realization) cell index.
+    ``env_state.temperature`` is overridden per grid point.
     """
-    temperatures = np.asarray(temperatures, dtype=float)
-    if len(temperatures) == 0 or not np.all((temperatures > 0) & np.isfinite(temperatures)):
-        raise ConfigurationError("temperature grid must be non-empty, finite and positive")
-    if np.any(np.diff(temperatures) <= 0):
-        raise ConfigurationError("temperature grid must be strictly ascending")
+    # Bounds come before any log; coinciding points (temp_min == temp_max, n_temps > 1) fail the ascent.
+    temperatures = np.empty(0)
+    if n_temps >= 1 and 0 < temp_min <= temp_max < math.inf:
+        lo, hi = math.log10(temp_min), math.log10(temp_max)
+        temperatures = np.logspace(lo, hi, n_temps) if n_temps > 1 else np.array([temp_min])
+    if len(temperatures) == 0 or np.any(np.diff(temperatures) <= 0):
+        raise ConfigurationError(f"bad temperature grid: [{temp_min}, {temp_max}] with {n_temps} points")
     if n_realizations < 1:
         raise ConfigurationError(f"n_realizations must be >= 1, got {n_realizations}")
     if threads < 1:

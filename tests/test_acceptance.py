@@ -6,6 +6,7 @@ sweeps are shared between tests through module-scoped fixtures.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -32,7 +33,7 @@ MASTER_SEED = 20260823
 TAU = 1.0e-5
 N_TIME_SAMPLES = 100_000
 N_REALIZATIONS = 10
-TEMP_GRID = np.logspace(-4.0, 1.0, 13)
+TEMP_GRID = (1.0e-4, 10.0, 13)  # (temp_min, temp_max, n_temps)
 T_REF = 1.0e-2
 
 
@@ -57,16 +58,18 @@ def ensemble_series(sys, size, temperature, n_seeds=N_REALIZATIONS):
     return out
 
 
-def run_sweep(sys, size, env_state, temperatures=TEMP_GRID):
+def run_sweep(sys, size, env_state, grid=TEMP_GRID):
+    # The sweep caps the pool at the usable CPUs, and no result depends on the thread count.
     return temperature_sweep(
         make_spec(macrofraction_size=size, traced_size=size),
         sys,
         env_state,
-        temperatures,
+        *grid,
         n_realizations=N_REALIZATIONS,
         tau=TAU,
         n_time_samples=N_TIME_SAMPLES,
         master_seed=MASTER_SEED,
+        threads=os.cpu_count() or 1,
     )
 
 
@@ -160,7 +163,7 @@ def test_3_temperature_sweep_regimes(sys_mom, sweep30_thermal, sweep10_thermal):
     )
     ok10_rows = all(r.regime is not RegimeFlag.SBS for r in sweep10_thermal)
     # 1e-1 K is not a point of the 13-point log grid; evaluate it directly.
-    point = run_sweep(sys_mom, 10, EnvInitialState(temperature=0.1), np.array([0.1]))[0]
+    point = run_sweep(sys_mom, 10, EnvInitialState(temperature=0.1), (0.1, 0.1, 1))[0]
     ok_point = point.gamma_avg < 0.05 and abs(point.b_avg - 0.6) <= 0.15
     elapsed = time.monotonic() - start
     ok = ok30 and ok10_rows and ok_point
@@ -208,7 +211,7 @@ def test_5_gaussian_extension(sys_mom, sweep30_thermal):
     unsqueezed Gaussian state, whatever its squeezing angle, reproduces the
     thermal sweep bit for bit."""
     squeezed = EnvInitialState(temperature=1.0, squeeze_r=5.0, squeeze_theta=math.pi)
-    row = run_sweep(sys_mom, 30, squeezed, np.array([1.0]))[0]
+    row = run_sweep(sys_mom, 30, squeezed, (1.0, 1.0, 1))[0]
     ok_sbs = row.regime is RegimeFlag.SBS
     unsqueezed = EnvInitialState(temperature=1.0, squeeze_r=0.0, squeeze_theta=math.pi)
     baseline = run_sweep(sys_mom, 30, unsqueezed)

@@ -251,6 +251,15 @@ class TestClosedForms:
         eta = 0.3 + 0.9j
         assert alpha_gaussian(eta, 0.0, 1.0, 0.0) == eta
 
+    @pytest.mark.parametrize(
+        "cell, value",
+        [((0.0, 0.3, 800.0, 0.0), 1.0), ((0.0, 0.3, 800.0, math.pi / 2.0), 0.0),
+         ((0.0, 0.3, 800.0, math.pi), 0.0), ((0.0, 1e200, 0.0, 0.0), 0.0)],
+    )
+    def test_exact_limits_past_the_float_range(self, cell, value):
+        # At r = 800, theta = 0: |eta~|^2 = 0.09 e^{-1600}, though cosh r overflows.
+        assert gamma_closed(*cell) == b_closed(*cell) == value
+
     def test_gamma_b_duality(self):
         # Reciprocal thermal weights: ln gamma * ln b = (|eta~|^2 / 2)^2.
         nbar, eta, r, theta = 1.5, 0.8, 0.6, 1.0
@@ -390,8 +399,9 @@ class TestValidationHarness:
     @pytest.mark.parametrize(
         "cell",
         [(0.0, 0.3, 8.0, 0.0), (0.0, 0.3, 5.0, 0.0), (1e16, 0.3, 0.0, 0.0), (0.0, 0.3, 356.0, 0.0),
-         (0.0, 0.3, 500.0, 0.0)],
-        ids=["r=8", "r=5", "nbar=1e16", "r=356", "r=500"],  # the last two overflow cosh(2r)
+         (0.0, 0.3, 500.0, 0.0), (0.0, 0.3, 800.0, 0.0), (0.0, 1e200, 0.0, 0.0)],
+        # from r=356 on the bounds overflow; at r=800 cosh r does, at |eta| = 1e200 |eta|^2 does
+        ids=["r=8", "r=5", "nbar=1e16", "r=356", "r=500", "r=800", "eta=1e200"],
     )
     def test_cell_without_practical_truncation_is_flagged_not_fatal(self, cell):
         report = validate_closed_forms(grid=[(0.0, 0.3, 0.0, 0.0), cell])

@@ -88,14 +88,14 @@ class TestTimeAverage:
 
 
 class TestTemperatureSweep:
-    TEMPS = np.array([1e-3, 1e-1, 10.0])
+    GRID = (1e-3, 10.0, 3)  # (temp_min, temp_max, n_temps)
 
     def run(self, system, threads=1, seed=77):
         return temperature_sweep(
             make_spec(**SMALL),
             system,
             EnvInitialState(temperature=1.0),
-            self.TEMPS,
+            *self.GRID,
             n_realizations=3,
             tau=1e-5,
             n_time_samples=400,
@@ -131,7 +131,7 @@ class TestTemperatureSweep:
     def test_pool_never_exceeds_cells(self, system, monkeypatch, pool_sizes):
         monkeypatch.setattr(sweeps.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert self.run(system, threads=12) == self.run(system, threads=1)
-        assert pool_sizes == [len(self.TEMPS) * 3, 1]
+        assert pool_sizes == [self.GRID[2] * 3, 1]
 
     @pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
     def test_pool_never_exceeds_cpus(self, system, monkeypatch, pool_sizes, cpus, workers):
@@ -161,7 +161,7 @@ class TestTemperatureSweep:
         monkeypatch.setattr(sweeps, "time_average", lambda *args: calls.append(args))
         with pytest.raises(ConfigurationError, match="0 < eps < eps_hi < 1"):
             temperature_sweep(
-                make_spec(**SMALL), system, EnvInitialState(temperature=1.0), self.TEMPS,
+                make_spec(**SMALL), system, EnvInitialState(temperature=1.0), *self.GRID,
                 n_realizations=3, tau=1e-5, n_time_samples=400, master_seed=77,
                 eps=eps, eps_hi=eps_hi,
             )
@@ -177,20 +177,36 @@ class TestTemperatureSweep:
         assert rows[-1].gamma_avg < rows[0].gamma_avg
         assert rows[-1].b_avg > rows[0].b_avg
 
-    def test_invalid_grids(self, system, thermal_state):
-        spec = make_spec(**SMALL)
+    def test_invalid_grids(self, system, thermal_state, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweeps, "time_average", lambda *args: calls.append(args))
         bad_grids = (
-            np.array([]),
-            np.array([2.0, 1.0]),
-            np.array([-1.0, 1.0]),
-            np.array([1.0, np.inf]),
-            np.array([np.nan, 1.0]),
+            (1.0, 10.0, 0),
+            (2.0, 1.0, 2),
+            (-1.0, 1.0, 2),
+            (0.0, 1.0, 2),
+            (1.0, math.inf, 2),
+            (math.nan, 1.0, 2),
+            (1.0, 1.0, 3),  # coinciding points
         )
         for bad in bad_grids:
-            with pytest.raises(ConfigurationError):
+            # The thresholds are bad too: the grid is checked first.
+            with pytest.raises(ConfigurationError, match="bad temperature grid"):
                 temperature_sweep(
-                    spec, system, thermal_state, bad, 1, 1e-5, 10, master_seed=0
+                    make_spec(**SMALL), system, thermal_state, *bad, 1, 1e-5, 10, master_seed=0,
+                    eps=0.5, eps_hi=0.3,
                 )
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "grid, temperatures",
+        [((1e-4, 10.0, 13), np.logspace(-4.0, 1.0, 13)), ((0.1, 0.1, 1), [0.1])],
+    )
+    def test_grid_is_the_log_grid(self, system, thermal_state, grid, temperatures):
+        rows = temperature_sweep(
+            make_spec(**SMALL), system, thermal_state, *grid, 1, 1e-5, 10, master_seed=0
+        )
+        np.testing.assert_array_equal([r.temperature for r in rows], temperatures)
 
 
 class TestSqueezingComparison:
