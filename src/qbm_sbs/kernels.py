@@ -27,11 +27,23 @@ Work arrays are mode-major, (modes x times) per chunk: per-mode factors are
 columns, per-time factors rows.  One chunk loop serves both bodies, which
 differ only in how they form and square the two quadrature components; one
 gain multiply and one mode sum then finish each chunk.  The mode sum adds
-whole rows in a fixed order, never a pairwise or BLAS reduction, so a time
-evaluated alone gives the same bits as in a batch.
+whole rows in a fixed order, mode 0, 1, 2, ..., never a pairwise or BLAS
+reduction, so a time evaluated alone gives the same bits as in a batch, and
+its running sum after mode m - 1 is the sum over the first m modes.
+
+That fixed order lets a caller cap the sum.  With a finite ``cap`` the modes
+run in blocks of 1, 2, 4, ... modes, over segments of times; after each block
+the times whose running sum is finite and >= cap are dropped from the
+segment, with their per-time factors, and keep that partial sum.  Every other
+time continues the same sequential sum and ends with the uncapped bits.  The
+terms are >= 0 for weights >= 0, so a dropped time's full sum is >= cap too.
+``exponent_bound`` bounds the sum from the per-mode gains, so that a caller
+can tell that no sum overflows before it lets the cap skip any mode.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,6 +55,11 @@ AXIS_POSITION = 1
 # 30 and 100 modes, 2**15 to 2**16 was fastest; smaller chunks pay numpy's
 # per-call cost on short time rows, larger ones spill the cache.
 _CHUNK_ELEMENTS = 2**15
+# Times per segment of a capped call, which keeps its drop state (running sums,
+# positions and per-time factors) per segment.  Longer segments cost fewer numpy
+# calls per mode block but hold more memory per thread: a sweep of 10 + 10 modes
+# on two threads peaked 0.5-1 MB higher at 2**14 than at 3 * 2**12.
+_SEGMENT_TIMES = 3 * 2**12
 
 
 def backend_name() -> str:
@@ -65,25 +82,10 @@ def _add_rows(x: np.ndarray, out: np.ndarray) -> None:
         out += row
 
 
-def exponent_series(
-    times: np.ndarray,
-    omega: np.ndarray,
-    pref: np.ndarray,
-    weight: np.ndarray,
-    omega_big: float,
-    axis: int,
-    r: float,
-    theta: float,
-    psi: float,
-) -> np.ndarray:
-    """sum_k weight[k] * |alpha~_k(t)|^2 for every t.
-
-    ``pref[k]`` is the amplitude prefactor C_k / (2 sqrt(2 m_k omega_k)).
-    """
-    times = np.ascontiguousarray(times, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    pref = np.asarray(pref, dtype=float)
-    weight = np.asarray(weight, dtype=float)
+def _mode_coefficients(
+    omega: np.ndarray, pref: np.ndarray, weight: np.ndarray, omega_big: float, axis: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gain_k, ratio_k) with weight_k |alpha_k|^2 = gain_k |z_k|^2 and ratio_k = b/a."""
     # The momentum amplitude is alpha_k = -pref_k (plus + minus), with
     # plus = (e^{i(w+W)t} - 1) / (w+W) and minus = (e^{i(w-W)t} - 1) / (w-W).
     # With s = sin wt, v = 1 - cos wt, S = sin Wt, V = 1 - cos Wt, C = cos Wt:
@@ -99,61 +101,194 @@ def exponent_series(
     ratio = omega_big / omega
     if axis != AXIS_MOMENTUM:
         a, ratio = inv_minus - inv_plus, omega / omega_big
-    gain = (weight * pref**2 * (2.0 * a) ** 2)[:, None]
-    ratio = ratio[:, None]
-    half_omega = 0.5 * omega[:, None]
+    return weight * pref**2 * (2.0 * a) ** 2, ratio
+
+
+def exponent_bound(
+    times: np.ndarray,
+    omega: np.ndarray,
+    pref: np.ndarray,
+    weight: np.ndarray,
+    omega_big: float,
+    axis: int,
+    r: float,
+) -> float:
+    """An upper bound of ``exponent_series`` at every one of ``times`` for weights >= 0.
+
+    It is inf (or NaN) wherever the series may not be finite: a phase omega_k t / 2
+    that overflows, or a gain or e^{2r} that does.
+    """
+    times, omega = np.asarray(times, dtype=float), np.asarray(omega, dtype=float)
+    # An overflowed phase gives NaN from its mode on, which a cap could skip.
+    t_max = max(times.max(initial=0.0), -times.min(initial=0.0))
+    if not np.isfinite(0.5 * omega.max(initial=0.0) * t_max):
+        return math.inf
+    gain, ratio = _mode_coefficients(
+        omega, np.asarray(pref, dtype=float), np.asarray(weight, dtype=float), omega_big, axis
+    )
+    # The halves lie in [-1/2, 1/2] and [0, 1], so the lab-frame components of
+    # z_k (in _add_chunk) obey |x| <= 2 + ratio/2 and |y| <= (1 + ratio)/2, the
+    # rotating frame's two obey the same, and the squeeze stretches |z_k|^2 by
+    # at most e^{2|r|}.  Twice the exact bound covers the roundings of every step.
+    per_mode = gain * ((2.0 + 0.5 * ratio) ** 2 + (0.5 * (1.0 + ratio)) ** 2)
+    return float(2.0 * np.exp(2.0 * abs(r)) * per_mode.sum())
+
+
+def _time_factors(t: np.ndarray, omega_big: float, lab_frame: bool) -> list[np.ndarray]:
+    """The per-time factors of a body: [t, S/2, V/2] in the rotating frame, else
+    [t, S, V/2, C], for S = sin Wt, V = 1 - cos Wt and C = cos Wt."""
+    big_half_sin, big_half_versin = _tan_half_sin(np.multiply(0.5 * omega_big, t), np.empty_like(t))
+    if not lab_frame:
+        return [t, big_half_sin, big_half_versin]
+    big_cos = np.multiply(2.0, big_half_versin)
+    np.subtract(1.0, big_cos, out=big_cos)
+    big_half_sin *= 2.0
+    return [t, big_half_sin, big_half_versin, big_cos]
+
+
+def _add_modes(
+    acc: np.ndarray,
+    bufs: list[np.ndarray],
+    per_time: list[np.ndarray],
+    half_omega: np.ndarray,
+    ratio: np.ndarray,
+    gain: np.ndarray,
+    proj: tuple[float, float, float, float] | None,
+) -> None:
+    """acc += gain_k |z_k|^2 for the modes of the column factors, mode by mode, in chunks of times."""
+    modes = half_omega.shape[0]
+    rows = max(1, bufs[0].shape[0] // modes)
+    for lo in range(0, acc.shape[0], rows):
+        part = [x[lo : lo + rows] for x in per_time]
+        n = part[0].shape[0]
+        work = [buf[: modes * n].reshape(modes, n) for buf in bufs]
+        _add_chunk(acc[lo : lo + rows], work, part, half_omega, ratio, gain, proj)
+
+
+def _add_chunk(
+    acc: np.ndarray,
+    work: list[np.ndarray],
+    per_time: list[np.ndarray],
+    half_omega: np.ndarray,
+    ratio: np.ndarray,
+    gain: np.ndarray,
+    proj: tuple[float, float, float, float] | None,
+) -> None:
+    """One (modes x times) chunk of ``_add_modes``, in the work arrays."""
+    t = per_time[0]
+    half_sin, half_versin = _tan_half_sin(np.multiply(half_omega, t, out=work[0]), work[1])
+    # Each body leaves the two squared quadrature components in c1 and c2.
+    if proj is None:
+        # In the frame rotating with mode k, z_k = alpha_k e^{-i w t} / (2 a pref_k)
+        # has the components (V - v)/2 and (s - (b/a) S)/2, each vanishing at t = 0.
+        _, big_half_sin, big_half_versin = per_time
+        c1 = np.subtract(big_half_versin, half_versin, out=half_versin)
+        c1 *= c1
+        np.multiply(ratio, big_half_sin, out=work[2])
+        c2 = np.subtract(half_sin, work[2], out=half_sin)
+        c2 *= c2
+    else:
+        _, big_sin, big_half_versin, big_cos = per_time
+        p_x, p_y, q_x, q_y = proj
+        x, y, spare = work[2:]
+        # The lab-frame z / (2a): x = C v/2 + V/2 - (b/a) S s/2
+        np.multiply(big_cos, half_versin, out=x)
+        x += big_half_versin
+        np.multiply(ratio, big_sin, out=y)
+        np.multiply(y, half_sin, out=spare)
+        x -= spare
+        # and y = (b/a) S (1/2 - v/2) - C s/2.
+        np.subtract(0.5, half_versin, out=half_versin)
+        y *= half_versin
+        half_sin *= big_cos
+        y -= half_sin
+        # c1 = e^{-r} e1 . z and c2 = e^{r} e2 . z (the gains swapped on the position axis)
+        c1 = np.multiply(x, p_x, out=half_versin)
+        np.multiply(y, p_y, out=spare)
+        c1 += spare
+        x *= q_x
+        y *= q_y
+        c2 = np.add(x, y, out=x)
+        c1 *= c1
+        c2 *= c2
+    c1 += c2
+    c1 *= gain
+    _add_rows(c1, acc)
+
+
+def exponent_series(
+    times: np.ndarray,
+    omega: np.ndarray,
+    pref: np.ndarray,
+    weight: np.ndarray,
+    omega_big: float,
+    axis: int,
+    r: float,
+    theta: float,
+    psi: float,
+    *,
+    cap: float = math.inf,
+) -> np.ndarray:
+    """sum_k weight[k] * |alpha~_k(t)|^2 for every t.
+
+    ``pref[k]`` is the amplitude prefactor C_k / (2 sqrt(2 m_k omega_k)).
+
+    With a finite ``cap`` the modes run in blocks of 1, 2, 4, ... in their
+    fixed order, and after each block a time whose running sum is finite and
+    >= ``cap`` stops and returns that partial sum.  Every other time returns
+    the full sum, with the same bits as without a cap.  With weights >= 0 the
+    running sums only grow, so a stopped time's full sum is >= ``cap`` too.
+    """
+    times = np.ascontiguousarray(times, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    gain, ratio = _mode_coefficients(
+        omega, np.asarray(pref, dtype=float), np.asarray(weight, dtype=float), omega_big, axis
+    )
+    gain, ratio, half_omega = gain[:, None], ratio[:, None], 0.5 * omega[:, None]
     # The squeezed body's projection coefficients (unused at r = 0):
     # |ch (e^{-i psi} z - e^{i(psi+theta)} conj(z) th)| = ch |z - e^{i phi} conj(z) th|, and
     # with z = e^{i phi/2} (p + i q), p = e1 . z and q = e2 . z, this is
     # ch |(1 - th) p + i (1 + th) q|, where ch (1 -+ th) = e^{-+r}.
-    low, high = np.exp(-r), np.exp(r)
-    if axis != AXIS_MOMENTUM:
-        low, high = high, low
-    half_phi = psi + 0.5 * theta
-    p_x, p_y = low * np.cos(half_phi), low * np.sin(half_phi)
-    q_x, q_y = -high * np.sin(half_phi), high * np.cos(half_phi)
+    proj = None
+    if r != 0.0:
+        low, high = np.exp(-r), np.exp(r)
+        if axis != AXIS_MOMENTUM:
+            low, high = high, low
+        half_phi = psi + 0.5 * theta
+        cos, sin = np.cos(half_phi), np.sin(half_phi)
+        proj = (low * cos, low * sin, -high * sin, high * cos)
     n, k = times.shape[0], omega.shape[0]
+    capped = cap < math.inf
+    # Mode blocks [edges[i], edges[i+1]): all modes at once without a cap, else
+    # 1, 2, 4, ... modes, with the capped times dropped between blocks.
+    edges = [0]
+    while edges[-1] < k:
+        edges.append(min(k, 2 * edges[-1] + 1) if capped else k)
     out = np.zeros(n)
-    rows = max(1, _CHUNK_ELEMENTS // max(k, 1))
-    bufs = [np.empty(k * min(n, rows)) for _ in range(3 if r == 0.0 else 5)]
-    for lo in range(0, n, rows):
-        t = times[lo : lo + rows]
-        work = [buf[: k * t.shape[0]].reshape(k, t.shape[0]) for buf in bufs]
-        big_half_sin, big_half_versin = _tan_half_sin(0.5 * omega_big * t, np.empty_like(t))
-        half_sin, half_versin = _tan_half_sin(np.multiply(half_omega, t, out=work[0]), work[1])
-        # Each body leaves the two squared quadrature components in c1 and c2.
-        if r == 0.0:
-            # In the frame rotating with mode k, z_k = alpha_k e^{-i w t} / (2 a pref_k)
-            # has the components (V - v)/2 and (s - (b/a) S)/2, each vanishing at t = 0.
-            c1 = np.subtract(big_half_versin, half_versin, out=half_versin)
-            c1 *= c1
-            np.multiply(ratio, big_half_sin, out=work[2])
-            c2 = np.subtract(half_sin, work[2], out=half_sin)
-            c2 *= c2
-        else:
-            x, y, spare = work[2:]
-            big_cos = 1.0 - 2.0 * big_half_versin
-            # The lab-frame z / (2a): x = C v/2 + V/2 - (b/a) S s/2
-            np.multiply(big_cos, half_versin, out=x)
-            x += big_half_versin
-            np.multiply(ratio, 2.0 * big_half_sin, out=y)
-            np.multiply(y, half_sin, out=spare)
-            x -= spare
-            # and y = (b/a) S (1/2 - v/2) - C s/2.
-            np.subtract(0.5, half_versin, out=half_versin)
-            y *= half_versin
-            half_sin *= big_cos
-            y -= half_sin
-            # c1 = e^{-r} e1 . z and c2 = e^{r} e2 . z (the gains swapped on the position axis)
-            c1 = np.multiply(x, p_x, out=half_versin)
-            np.multiply(y, p_y, out=spare)
-            c1 += spare
-            x *= q_x
-            y *= q_y
-            c2 = np.add(x, y, out=x)
-            c1 *= c1
-            c2 *= c2
-        c1 += c2
-        c1 *= gain
-        _add_rows(c1, out[lo : lo + t.shape[0]])
+    bufs = [np.empty(min(k * n, max(k, _CHUNK_ELEMENTS))) for _ in range(3 if proj is None else 5)]
+    # Without a cap a segment is one chunk.
+    seg_len = _SEGMENT_TIMES if capped else max(1, _CHUNK_ELEMENTS // max(k, 1))
+    for lo in range(0, n, seg_len):
+        seg = out[lo : lo + seg_len]
+        per_time = _time_factors(times[lo : lo + seg_len], omega_big, proj is not None)
+        # acc holds the running sums of the times still summed, at the positions
+        # ``live`` of the segment (None while acc is the segment itself).
+        acc, live = seg, None
+        for first, stop in zip(edges, edges[1:]):
+            if first and (reached := acc >= cap).any():
+                reached &= acc < math.inf
+                if live is not None:
+                    seg[live] = acc
+                keep = np.flatnonzero(~reached)
+                live = keep if live is None else live[keep]
+                acc = acc[keep]
+                # The per-time factors follow their times, one at a time, so
+                # that each old array is freed before the next is copied.
+                for i, x in enumerate(per_time):
+                    per_time[i] = x[keep]
+                if not acc.size:
+                    break
+            _add_modes(acc, bufs, per_time, half_omega[first:stop], ratio[first:stop], gain[first:stop], proj)
+        if live is not None:
+            seg[live] = acc
     return out

@@ -3,12 +3,15 @@
 Both observables are products over bath modes of exponentials whose exponents
 share the same displacement amplitude; they differ only in a thermal weight,
 coth for the decoherence factor and tanh for the overlap.  The sums of log
-factors are the ground truth; the exponentiated values underflow to zero for
-large baths at strong coupling.
+factors are the ground truth, and ``_exponent_sum`` always adds every mode.
+The exponentiated values underflow to zero for large baths at strong
+coupling, so the factors stop adding modes at a time once its exponent
+reaches ``UNDERFLOW``: exp(-x) is then exactly 0, as it is for the full sum.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -20,6 +23,9 @@ from .model import EnvInitialState, Modes, SqueezeAxis, SystemParams
 
 DEFAULT_EPS = 0.05
 DEFAULT_EPS_HI = 0.3
+# np.exp(-x) is exactly 0.0 for every x >= UNDERFLOW: float64 exp underflows
+# from x = 745.1334, far below UNDERFLOW less one rounding of the cap.
+UNDERFLOW = 746.0
 
 
 class RegimeFlag(Enum):
@@ -43,18 +49,35 @@ def _exponent_sum(
     env_state: EnvInitialState,
     t,
     kind: str,
+    *,
+    capped: bool = False,
 ) -> np.ndarray:
-    """Positive exponent sum_k (dX^2 / 2 hbar) |alpha~_k(t)|^2 weight_k."""
+    """Positive exponent sum_k (dX^2 / 2 hbar) |alpha~_k(t)|^2 weight_k.
+
+    With ``capped``, a time whose exponent reaches ``UNDERFLOW`` may get a
+    partial sum that is >= ``UNDERFLOW`` (up to rounding) instead: the kernel
+    stops adding its modes.
+    """
     if len(fraction) == 0:
         raise DomainError("oscillator fraction must be non-empty")
     axis = kernels.AXIS_MOMENTUM if sys.squeezing_axis is SqueezeAxis.MOMENTUM else kernels.AXIS_POSITION
     times = np.atleast_1d(np.asarray(t, dtype=float))
+    r = env_state.squeeze_r
     # x_sep is squared as a numpy scalar, which overflows to inf where a Python
     # float raises.  An overflowed gain, phase or square gives inf, or
     # inf * 0 = NaN at t = 0; the check below reports both, so numpy's
     # warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         weight = _thermal_weight(fraction.omega, env_state.temperature, kind)
+        scale = np.float64(sys.x_sep) ** 2 / (2.0 * HBAR)
+        # The terms are >= 0, so a time's running sum only grows and a capped
+        # time's full exponent is >= UNDERFLOW too.  The cap is set only where
+        # the bound shows that no sum overflows, so it hides no error.
+        cap = math.inf
+        if capped:
+            bound = kernels.exponent_bound(times, fraction.omega, fraction.pref, weight, sys.omega_big, axis, r)
+            if scale * bound < math.inf:
+                cap = UNDERFLOW / scale
         sums = kernels.exponent_series(
             times,
             fraction.omega,
@@ -62,11 +85,12 @@ def _exponent_sum(
             weight,
             sys.omega_big,
             axis,
-            env_state.squeeze_r,
+            r,
             env_state.squeeze_theta,
             0.0,  # psi: a rotation of the bath state only shifts squeeze_theta
+            cap=cap,
         )
-        ex = np.float64(sys.x_sep) ** 2 / (2.0 * HBAR) * sums
+        ex = scale * sums
     if not np.isfinite(ex).all():
         raise DomainError(
             "exponent sum is not finite: a per-mode gain (x_sep, masses, coupling, "
@@ -77,7 +101,7 @@ def _exponent_sum(
 
 def _factor(fraction: Modes, sys: SystemParams, env_state: EnvInitialState, t, kind: str):
     """exp(-exponent sum) with the ``kind`` weight; scalar t gives a scalar."""
-    out = np.exp(-_exponent_sum(fraction, sys, env_state, t, kind))
+    out = np.exp(-_exponent_sum(fraction, sys, env_state, t, kind, capped=True))
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

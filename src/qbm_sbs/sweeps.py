@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -107,10 +108,14 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
 
 def _gamma_and_b(
     realization: EnvironmentRealization, sys: SystemParams, env_state: EnvInitialState, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """|Gamma| of the traced fraction and B of the macro-fraction at the times t."""
-    gamma = decoherence_factor(realization.traced, sys, env_state, t)
-    return gamma, overlap_macrofraction(realization.macrofraction, sys, env_state, t)
+) -> Iterator[np.ndarray]:
+    """|Gamma| of the traced fraction, then B of the macro-fraction, at the times t.
+
+    Each is computed when the caller iterates to it, so a caller that reduces
+    |Gamma| first never holds both arrays.
+    """
+    yield decoherence_factor(realization.traced, sys, env_state, t)
+    yield overlap_macrofraction(realization.macrofraction, sys, env_state, t)
 
 
 def _uniform_grid(t_max: float, n_points: int) -> np.ndarray:
@@ -161,8 +166,8 @@ def time_average(
 ) -> TimeAverageResult:
     """Estimate of (1/tau) * integral over [0, tau] of both observables."""
     t = sample_times(tau, n_samples, seed)
-    gamma, b = _gamma_and_b(realization, sys, env_state, t)
-    (g_avg, g_drift, g_ok), (b_avg, b_drift, b_ok) = _sample_mean(gamma), _sample_mean(b)
+    gamma_b = _gamma_and_b(realization, sys, env_state, t)
+    (g_avg, g_drift, g_ok), (b_avg, b_drift, b_ok) = map(_sample_mean, gamma_b)
     return TimeAverageResult(
         gamma_avg=g_avg, b_avg=b_avg, gamma_drift=g_drift, b_drift=b_drift,
         converged=g_ok and b_ok,

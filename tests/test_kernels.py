@@ -82,6 +82,86 @@ def test_kernel_leaves_its_inputs_unchanged(axis, r):
             assert x.tobytes() == y.tobytes()
 
 
+def block_end_sums(series, n_modes, times, cap):
+    """The capped kernel's result from uncapped calls on the first 1, 3, 7, ... modes:
+    a time takes the running sum of the first block end where it is finite and
+    >= cap, else the full sum.  Also returns which times stopped early."""
+    expected = series(times, n_modes)
+    stopped = np.zeros(times.shape, dtype=bool)
+    end = 1
+    while end < n_modes:
+        prefix = series(times, end)
+        now = ~stopped & (prefix >= cap) & (prefix < np.inf)
+        expected[now] = prefix[now]
+        stopped |= now
+        end = 2 * end + 1
+    return expected, stopped
+
+
+@pytest.mark.parametrize("axis,r,theta,psi", CASES)
+def test_capped_kernel_stops_at_block_ends(axis, r, theta, psi):
+    for n_modes in (1, 9, 30, 100):
+        _, omega, pref, weight = random_fraction(n_modes, 23)
+
+        def series(times, m, **kwargs):
+            return kernels.exponent_series(
+                times, omega[:m], pref[:m], weight[:m], OMEGA_BIG, axis, r, theta, psi, **kwargs
+            )
+
+        # More than one segment, and t = 0, whose sum 0 reaches a cap of 0.
+        times = np.random.default_rng(9).uniform(0.0, 1e-5, kernels._SEGMENT_TIMES + 100)
+        times[7] = 0.0
+        first = series(times, 1)
+        shares = []
+        for cap in (0.0, float(np.median(first)), float(np.quantile(first, 0.99)), 1e300):
+            expected, stopped = block_end_sums(series, n_modes, times, cap)
+            np.testing.assert_array_equal(series(times, n_modes, cap=cap), expected)
+            shares.append(stopped.mean())
+        if n_modes > 1:
+            assert shares[0] == 1.0 and 0.0 < shares[1] < 1.0 and shares[3] == 0.0
+        else:
+            assert shares == [0.0] * 4
+
+
+def test_capped_kernel_never_stops_a_nan_or_inf_sum():
+    # After the first mode the sums are inf (t > 0) or NaN (inf * 0 at t = 0,
+    # and a NaN time); the second mode's NaN weight then makes every full sum NaN.
+    _, omega, pref, weight = random_fraction(9, 23)
+    weight[0], weight[1] = np.inf, np.nan
+    times = np.array([np.nan, 0.0, 1e-6, 2e-6])
+    with np.errstate(invalid="ignore"):
+        capped = kernels.exponent_series(
+            times, omega, pref, weight, OMEGA_BIG, kernels.AXIS_MOMENTUM, 0.0, 0.0, 0.0, cap=1.0
+        )
+    assert np.isnan(capped).all()
+
+
+@pytest.mark.parametrize("axis,r,theta,psi", CASES)
+def test_exponent_bound_holds(axis, r, theta, psi):
+    for n_modes in (1, 9, 100):
+        _, omega, pref, weight = random_fraction(n_modes, 23)
+        times = np.concatenate([np.logspace(-15, -5, 200), np.random.default_rng(5).uniform(0.0, 1e-5, 5000)])
+        series = kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, theta, psi)
+        bound = kernels.exponent_bound(times, omega, pref, weight, OMEGA_BIG, axis, r)
+        assert series.max() <= bound < np.inf
+
+
+def test_exponent_bound_is_inf_where_a_sum_may_not_be_finite():
+    _, omega, pref, weight = random_fraction(9, 23)
+    # The phase omega_k t / 2 of the fastest modes overflows while the slowest stay finite.
+    t_over = np.finfo(float).max / (0.5 * omega.max()) * 1.01
+    assert 0.5 * omega.min() * t_over < np.inf
+
+    def bound(times, pref=pref, r=0.0):
+        with np.errstate(over="ignore"):
+            return kernels.exponent_bound(times, omega, pref, weight, OMEGA_BIG, kernels.AXIS_MOMENTUM, r)
+
+    for times in (np.array([1e-6, t_over]), np.array([-t_over]), np.array([np.nan])):
+        assert bound(times) == np.inf
+    assert bound(np.array([1e-6]), r=355.0) == np.inf  # e^{2r} overflows
+    assert bound(np.array([1e-6]), pref=pref * 1e160) == np.inf  # pref^2 overflows
+
+
 def mpmath_series(times, omega, pref, weight, axis, r, theta, psi):
     """The kernel's sum from the per-mode definition, in 50-digit arithmetic."""
     out = []

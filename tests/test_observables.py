@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from qbm_sbs import kernels
 from qbm_sbs.constants import HBAR
 from qbm_sbs.dynamics import alpha_momentum
 from qbm_sbs.errors import ConfigurationError, DomainError
-from qbm_sbs.model import EnvInitialState, SystemParams, sample_environment
+from qbm_sbs.model import EnvInitialState, Modes, SqueezeAxis, SystemParams, sample_environment
 from qbm_sbs.observables import (
+    UNDERFLOW,
     RegimeFlag,
+    _exponent_sum,
     classify_regime,
     decoherence_factor,
     overlap_macrofraction,
@@ -106,6 +109,79 @@ class TestStructure:
         g0 = decoherence_factor(realization.traced, system, base, T_GRID)
         g1 = decoherence_factor(realization.traced, system, rotated, T_GRID)
         np.testing.assert_array_equal(g0, g1)
+
+
+class TestUnderflowCap:
+    """The factor path stops adding modes once exp(-sum) is exactly 0, with no change to any bit."""
+
+    TEMPS = (1e-4, 1e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e5)
+
+    @pytest.mark.parametrize("n_modes", [1, 9, 30, 100])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("axis", list(SqueezeAxis))
+    def test_capped_factors_are_exp_of_the_full_exponent(self, monkeypatch, axis, r, n_modes):
+        sys = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=X_SEP, squeezing_axis=axis)
+        real = sample_environment(make_spec(n_modes, n_modes), sys, 11)
+        times = np.random.default_rng(3).uniform(0.0, 1e-5, 2000)
+        series = kernels.exponent_series
+        shares = []
+
+        def recorded(*args, **kwargs):
+            out = series(*args, **kwargs)
+            shares.append(np.mean(out != series(*args)))  # times returned as partial sums
+            return out
+
+        for temperature in self.TEMPS:
+            state = EnvInitialState(temperature=temperature, squeeze_r=r, squeeze_theta=0.3)
+            for factor, fraction, kind in (
+                (decoherence_factor, real.traced, "coth"),
+                (overlap_macrofraction, real.macrofraction, "tanh"),
+            ):
+                with monkeypatch.context() as m:
+                    m.setattr(kernels, "exponent_series", recorded)
+                    got = factor(fraction, sys, state, times)
+                assert np.array_equal(got, np.exp(-_exponent_sum(fraction, sys, state, times, kind)))
+        # One mode is one block: nothing to stop.  Otherwise the grid holds
+        # calls where no time, some times and every time stopped early.
+        if n_modes == 1:
+            assert max(shares) == 0.0
+        else:
+            assert min(shares) == 0.0 and max(shares) == 1.0
+            assert any(0.0 < s < 1.0 for s in shares)
+
+    @pytest.mark.parametrize("n", [1, 10**4])
+    def test_exp_is_zero_from_the_underflow_bound(self, n):
+        rng = np.random.default_rng(4)
+        for x in (
+            np.full(n, UNDERFLOW),
+            UNDERFLOW + rng.uniform(0.0, 1e4, n),
+            UNDERFLOW * 10.0 ** rng.uniform(0.0, 300.0, n),
+            np.full(n, np.inf),
+        ):
+            assert np.all(np.exp(-x) == 0.0)
+        # A capped exponent is scale * (UNDERFLOW / scale) or more, which can
+        # round below UNDERFLOW by an ulp or two; exp(-x) is 0 there too.
+        scale = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        assert np.all(np.exp(-(scale * (UNDERFLOW / scale))) == 0.0)
+        assert np.exp(-745.2) == 0.0 < np.exp(-745.1)
+
+    def test_overflow_after_the_cap_still_raises(self):
+        # Alone, the first mode's exponent passes the cap at every sampled time;
+        # a later mode then overflows, by its gain or by its phase.
+        sys = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=1e-7)
+        state = EnvInitialState(temperature=10.0)
+        omega = np.array([3.0e9, 4.0e9, 5.0e9, 6.0e9])
+        pref = np.full(4, sample_environment(make_spec(1, 1), sys, 0).traced.pref[0])
+        times = np.random.default_rng(6).uniform(1e-8, 1e-5, 50)
+        t_over = np.linspace(1.0, 1.1, 50) * (np.finfo(float).max / (0.5 * omega.max()))
+        assert np.isfinite(0.5 * omega[0] * t_over).all()
+        huge = pref.copy()
+        huge[3] = 1e160  # pref^2 overflows
+        for fraction, t in ((Modes(omega, huge), times), (Modes(omega, pref), t_over)):
+            with np.errstate(invalid="ignore"):
+                assert np.all(decoherence_factor(fraction[:1], sys, state, t) == 0.0)
+            with pytest.raises(DomainError, match="exponent sum is not finite"):
+                decoherence_factor(fraction, sys, state, t)
 
 
 class TestClassifier:

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbm_sbs.dynamics import alpha_gaussian
-from qbm_sbs.model import SystemParams, coupling_constant, sample_environment
-from qbm_sbs.observables import classify_regime
+from qbm_sbs.model import EnvInitialState, SqueezeAxis, SystemParams, coupling_constant, sample_environment
+from qbm_sbs.observables import _exponent_sum, classify_regime, decoherence_factor, overlap_macrofraction
 from qbm_sbs.oracle import b_closed, gamma_closed
 
 from conftest import GAMMA0, M_ENV, MASS_M, OMEGA_BIG, OMEGA_HIGH, OMEGA_LOW, X_SEP, make_spec
@@ -90,3 +90,27 @@ def test_sampled_blocks_split_one_uniform_draw(traced, size, seed):
     for b in blocks:
         for w, pref in zip(b.omega, b.pref):
             assert pref == c / (2.0 * np.sqrt(2.0 * M_ENV * float(w)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_temperature=st.floats(min_value=-4.0, max_value=4.0, **finite),
+    r=st.floats(min_value=0.0, max_value=6.0, **finite),
+    theta=angles,
+    axis=st.sampled_from(SqueezeAxis),
+    n_modes=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    times=st.lists(st.floats(min_value=0.0, max_value=1e-5, **finite), min_size=1, max_size=40),
+)
+def test_factors_are_exp_of_the_uncapped_exponent(log_temperature, r, theta, axis, n_modes, seed, times):
+    # The factors stop adding modes once exp(-sum) is exactly 0; the log sums never do.
+    sys = SystemParams(mass_M=MASS_M, omega_big=OMEGA_BIG, x_sep=X_SEP, squeezing_axis=axis)
+    real = sample_environment(make_spec(macrofraction_size=n_modes, traced_size=n_modes), sys, seed)
+    state = EnvInitialState(temperature=10.0**log_temperature, squeeze_r=r, squeeze_theta=theta)
+    t = np.array(times)
+    for factor, fraction, kind in (
+        (decoherence_factor, real.traced, "coth"),
+        (overlap_macrofraction, real.macrofraction, "tanh"),
+    ):
+        expected = np.exp(-_exponent_sum(fraction, sys, state, t, kind))
+        assert factor(fraction, sys, state, t).tobytes() == expected.tobytes()

@@ -255,9 +255,9 @@ class TestSqueezingComparison:
         exponent_series = kernels.exponent_series
         sizes = []
 
-        def counted(times, *args):
+        def counted(times, *args, **kwargs):
             sizes.append(len(times))
-            return exponent_series(times, *args)
+            return exponent_series(times, *args, **kwargs)
 
         monkeypatch.setattr(kernels, "exponent_series", counted)
         cmp = self.run(system)
