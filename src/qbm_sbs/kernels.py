@@ -31,12 +31,13 @@ whole rows in a fixed order, mode 0, 1, 2, ..., never a pairwise or BLAS
 reduction, so a time evaluated alone gives the same bits as in a batch, and
 its running sum after mode m - 1 is the sum over the first m modes.
 
-That fixed order lets a caller cap the sum.  With a finite ``cap`` the modes
-run in blocks of 1, 2, 4, ... modes, over segments of times; after each block
-the times whose running sum is finite and >= cap are dropped from the
+That fixed order lets a caller cap the sum.  Every call runs the modes in
+blocks of 1, 2, 4, ... modes, over segments of times; after each block the
+times whose running sum is finite and >= ``cap`` are dropped from the
 segment, with their per-time factors, and keep that partial sum.  Every other
-time continues the same sequential sum and ends with the uncapped bits.  The
-terms are >= 0 for weights >= 0, so a dropped time's full sum is >= cap too.
+time continues the same sequential sum and ends with the uncapped bits, and
+with the default cap = inf no time is dropped.  The terms are >= 0 for
+weights >= 0, so a dropped time's full sum is >= cap too.
 ``exponent_bound`` bounds the sum from the per-mode gains, so that a caller
 can tell that no sum overflows before it lets the cap skip any mode.
 """
@@ -55,7 +56,7 @@ AXIS_POSITION = 1
 # 30 and 100 modes, 2**15 to 2**16 was fastest; smaller chunks pay numpy's
 # per-call cost on short time rows, larger ones spill the cache.
 _CHUNK_ELEMENTS = 2**15
-# Times per segment of a capped call, which keeps its drop state (running sums,
+# Times per segment, which keeps the drop state of a call (running sums,
 # positions and per-time factors) per segment.  Longer segments cost fewer numpy
 # calls per mode block but hold more memory per thread: a sweep of 10 + 10 modes
 # on two threads peaked 0.5-1 MB higher at 2**14 than at 3 * 2**12.
@@ -233,10 +234,10 @@ def exponent_series(
 
     ``pref[k]`` is the amplitude prefactor C_k / (2 sqrt(2 m_k omega_k)).
 
-    With a finite ``cap`` the modes run in blocks of 1, 2, 4, ... in their
-    fixed order, and after each block a time whose running sum is finite and
-    >= ``cap`` stops and returns that partial sum.  Every other time returns
-    the full sum, with the same bits as without a cap.  With weights >= 0 the
+    The modes run in blocks of 1, 2, 4, ... in their fixed order, and after
+    each block a time whose running sum is finite and >= ``cap`` stops and
+    returns that partial sum.  Every other time returns the full sum, with the
+    same bits as without a cap.  With weights >= 0 the
     running sums only grow, so a stopped time's full sum is >= ``cap`` too.
     """
     times = np.ascontiguousarray(times, dtype=float)
@@ -258,19 +259,16 @@ def exponent_series(
         cos, sin = np.cos(half_phi), np.sin(half_phi)
         proj = (low * cos, low * sin, -high * sin, high * cos)
     n, k = times.shape[0], omega.shape[0]
-    capped = cap < math.inf
-    # Mode blocks [edges[i], edges[i+1]): all modes at once without a cap, else
-    # 1, 2, 4, ... modes, with the capped times dropped between blocks.
+    # Mode blocks [edges[i], edges[i+1]) of 1, 2, 4, ... modes, with the capped
+    # times dropped between blocks (none with cap = inf).
     edges = [0]
     while edges[-1] < k:
-        edges.append(min(k, 2 * edges[-1] + 1) if capped else k)
+        edges.append(min(k, 2 * edges[-1] + 1))
     out = np.zeros(n)
     bufs = [np.empty(min(k * n, max(k, _CHUNK_ELEMENTS))) for _ in range(3 if proj is None else 5)]
-    # Without a cap a segment is one chunk.
-    seg_len = _SEGMENT_TIMES if capped else max(1, _CHUNK_ELEMENTS // max(k, 1))
-    for lo in range(0, n, seg_len):
-        seg = out[lo : lo + seg_len]
-        per_time = _time_factors(times[lo : lo + seg_len], omega_big, proj is not None)
+    for lo in range(0, n, _SEGMENT_TIMES):
+        seg = out[lo : lo + _SEGMENT_TIMES]
+        per_time = _time_factors(times[lo : lo + _SEGMENT_TIMES], omega_big, proj is not None)
         # acc holds the running sums of the times still summed, at the positions
         # ``live`` of the segment (None while acc is the segment itself).
         acc, live = seg, None
