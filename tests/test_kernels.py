@@ -60,10 +60,14 @@ def test_kernel_exact_at_zero_and_batch_invariant(axis, r, theta, psi):
             return kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, theta, psi)
 
         assert series(np.array([0.0]))[0] == 0.0
-        rows = kernels._CHUNK_ELEMENTS // n_modes  # times per chunk
-        times = np.random.default_rng(9).uniform(0.0, 1e-5, rows + 5)
+        # Past one segment, so that the blocks of more than two modes split it into chunks.
+        times = np.random.default_rng(9).uniform(0.0, 1e-5, kernels._SEGMENT_TIMES + 5)
         batched = series(times)
-        for i in (0, 1, rows - 1, rows, rows + 4):
+        # The times on both sides of every chunk end that a block of 1 to n_modes
+        # modes may have, and of the segment end.
+        ends = {kernels._CHUNK_ELEMENTS // m for m in range(1, n_modes + 1)} | {kernels._SEGMENT_TIMES}
+        picks = {0, 1, times.size - 1} | {i for end in ends for i in (end - 1, end) if end <= kernels._SEGMENT_TIMES}
+        for i in sorted(picks):
             assert series(times[i : i + 1])[0] == batched[i]
 
 
