@@ -1,5 +1,5 @@
-"""The hot amplitude-sum kernel: weighted exponent sums over the bath, chunked
-over time, in one numpy implementation with no build step.
+"""The hot amplitude-sum kernel: weighted exponent sums over the bath, in one
+numpy implementation with no build step.
 
 The amplitudes are built in real arithmetic from one tangent per
 (mode, time) element: u = tan(omega_k t / 2) gives the halves
@@ -23,18 +23,19 @@ z_k carries one of sin(omega_k t), 1 - cos(omega_k t), sin(Omega t) or
   so no 1 - tanh r is formed and no intermediate exceeds the stretched
   quadrature's term e^{2r} (e . z_k)^2.
 
-Work arrays are mode-major, (modes x times) per chunk: per-mode factors are
-columns, per-time factors rows.  One chunk loop serves both bodies, which
-differ only in how they form and square the two quadrature components; one
-gain multiply and one mode sum then finish each chunk.  The mode sum adds
-whole rows in a fixed order, mode 0, 1, 2, ..., never a pairwise or BLAS
-reduction, so a time evaluated alone gives the same bits as in a batch, and
-its running sum after mode m - 1 is the sum over the first m modes.
+Work arrays are mode-major, (modes x times) per block of modes: per-mode
+factors are columns, per-time factors rows.  One block loop serves both
+bodies, which differ only in how they form and square the two quadrature
+components; one gain multiply and one mode sum then finish each block.  The
+mode sum adds whole rows in a fixed order, mode 0, 1, 2, ..., never a
+pairwise or BLAS reduction, so a time evaluated alone gives the same bits as
+in a batch, and its running sum after mode m - 1 is the sum over the first m
+modes.
 
 That fixed order lets a caller cap the sum.  Every call runs the modes in
-blocks of 1, 2, 4, ... modes, over segments of times; after each block the
-times whose running sum is finite and >= ``cap`` are dropped from the
-segment, with their per-time factors, and keep that partial sum.  Every other
+blocks of 1, 2, 4, then 4 modes each, over segments of times; after each
+block the times whose running sum is finite and >= ``cap`` are dropped from
+the segment, with their per-time factors, and keep that partial sum.  Every other
 time continues the same sequential sum and ends with the uncapped bits, and
 with the default cap = inf no time is dropped.  The terms are >= 0 for
 weights >= 0, so a dropped time's full sum is >= cap too.
@@ -51,15 +52,15 @@ import numpy as np
 AXIS_MOMENTUM = 0
 AXIS_POSITION = 1
 
-# Elements (modes x times) per chunk, so that the work arrays stay in cache
-# at any mode count: the squeezed body's five take 1.25 MiB.  Measured at 10,
-# 30 and 100 modes, 2**15 to 2**16 was fastest; smaller chunks pay numpy's
-# per-call cost on short time rows, larger ones spill the cache.
-_CHUNK_ELEMENTS = 2**15
-# Times per segment, which keeps the drop state of a call (running sums,
+# Widest mode block.  The work arrays hold one block over one segment, so they
+# stay at most _BLOCK_MODES x _SEGMENT_TIMES elements at any mode count: the
+# squeezed body's five take 1.9 MiB.
+_BLOCK_MODES = 4
+# Times per segment, which also keeps the drop state of a call (running sums,
 # positions and per-time factors) per segment.  Longer segments cost fewer numpy
-# calls per mode block but hold more memory per thread: a sweep of 10 + 10 modes
-# on two threads peaked 0.5-1 MB higher at 2**14 than at 3 * 2**12.
+# calls per mode block but hold more memory per thread: against 3 * 2**12, a
+# sweep of 10 + 10 squeezed modes on two threads ran 31% slower at 2**13 and
+# peaked 2 MB higher at 2**14.
 _SEGMENT_TIMES = 3 * 2**12
 
 
@@ -128,7 +129,7 @@ def exponent_bound(
         omega, np.asarray(pref, dtype=float), np.asarray(weight, dtype=float), omega_big, axis
     )
     # The halves lie in [-1/2, 1/2] and [0, 1], so the lab-frame components of
-    # z_k (in _add_chunk) obey |x| <= 2 + ratio/2 and |y| <= (1 + ratio)/2, the
+    # z_k (in _add_block) obey |x| <= 2 + ratio/2 and |y| <= (1 + ratio)/2, the
     # rotating frame's two obey the same, and the squeeze stretches |z_k|^2 by
     # at most e^{2|r|}.  Twice the exact bound covers the roundings of every step.
     per_mode = gain * ((2.0 + 0.5 * ratio) ** 2 + (0.5 * (1.0 + ratio)) ** 2)
@@ -147,26 +148,7 @@ def _time_factors(t: np.ndarray, omega_big: float, lab_frame: bool) -> list[np.n
     return [t, big_half_sin, big_half_versin, big_cos]
 
 
-def _add_modes(
-    acc: np.ndarray,
-    bufs: list[np.ndarray],
-    per_time: list[np.ndarray],
-    half_omega: np.ndarray,
-    ratio: np.ndarray,
-    gain: np.ndarray,
-    proj: tuple[float, float, float, float] | None,
-) -> None:
-    """acc += gain_k |z_k|^2 for the modes of the column factors, mode by mode, in chunks of times."""
-    modes = half_omega.shape[0]
-    rows = max(1, bufs[0].shape[0] // modes)
-    for lo in range(0, acc.shape[0], rows):
-        part = [x[lo : lo + rows] for x in per_time]
-        n = part[0].shape[0]
-        work = [buf[: modes * n].reshape(modes, n) for buf in bufs]
-        _add_chunk(acc[lo : lo + rows], work, part, half_omega, ratio, gain, proj)
-
-
-def _add_chunk(
+def _add_block(
     acc: np.ndarray,
     work: list[np.ndarray],
     per_time: list[np.ndarray],
@@ -175,7 +157,7 @@ def _add_chunk(
     gain: np.ndarray,
     proj: tuple[float, float, float, float] | None,
 ) -> None:
-    """One (modes x times) chunk of ``_add_modes``, in the work arrays."""
+    """acc += gain_k |z_k|^2 for one block of modes, mode by mode, in the (modes x times) work arrays."""
     t = per_time[0]
     half_sin, half_versin = _tan_half_sin(np.multiply(half_omega, t, out=work[0]), work[1])
     # Each body leaves the two squared quadrature components in c1 and c2.
@@ -234,10 +216,10 @@ def exponent_series(
 
     ``pref[k]`` is the amplitude prefactor C_k / (2 sqrt(2 m_k omega_k)).
 
-    The modes run in blocks of 1, 2, 4, ... in their fixed order, and after
-    each block a time whose running sum is finite and >= ``cap`` stops and
-    returns that partial sum.  Every other time returns the full sum, with the
-    same bits as without a cap.  With weights >= 0 the
+    The modes run in blocks of 1, 2, 4, then 4 modes each, in their fixed
+    order, and after each block a time whose running sum is finite and
+    >= ``cap`` stops and returns that partial sum.  Every other time returns
+    the full sum, with the same bits as without a cap.  With weights >= 0 the
     running sums only grow, so a stopped time's full sum is >= ``cap`` too.
     """
     times = np.ascontiguousarray(times, dtype=float)
@@ -259,13 +241,14 @@ def exponent_series(
         cos, sin = np.cos(half_phi), np.sin(half_phi)
         proj = (low * cos, low * sin, -high * sin, high * cos)
     n, k = times.shape[0], omega.shape[0]
-    # Mode blocks [edges[i], edges[i+1]) of 1, 2, 4, ... modes, with the capped
-    # times dropped between blocks (none with cap = inf).
+    # Mode blocks [edges[i], edges[i+1]) of 1, 2, 4, then 4 modes, with the
+    # capped times dropped between blocks (none with cap = inf).
     edges = [0]
-    while edges[-1] < k:
-        edges.append(min(k, 2 * edges[-1] + 1))
+    while (e := edges[-1]) < k:
+        edges.append(min(k, e + min(e + 1, _BLOCK_MODES)))
     out = np.zeros(n)
-    bufs = [np.empty(min(k * n, max(k, _CHUNK_ELEMENTS))) for _ in range(3 if proj is None else 5)]
+    size = min(k, _BLOCK_MODES) * min(n, _SEGMENT_TIMES)
+    bufs = [np.empty(size) for _ in range(3 if proj is None else 5)]
     for lo in range(0, n, _SEGMENT_TIMES):
         seg = out[lo : lo + _SEGMENT_TIMES]
         per_time = _time_factors(times[lo : lo + _SEGMENT_TIMES], omega_big, proj is not None)
@@ -286,7 +269,8 @@ def exponent_series(
                     per_time[i] = x[keep]
                 if not acc.size:
                     break
-            _add_modes(acc, bufs, per_time, half_omega[first:stop], ratio[first:stop], gain[first:stop], proj)
+            work = [buf[: (stop - first) * acc.size].reshape(stop - first, acc.size) for buf in bufs]
+            _add_block(acc, work, per_time, half_omega[first:stop], ratio[first:stop], gain[first:stop], proj)
         if live is not None:
             seg[live] = acc
     return out

@@ -1,5 +1,7 @@
 """Kernel consistency with the per-mode definitions."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -60,13 +62,11 @@ def test_kernel_exact_at_zero_and_batch_invariant(axis, r, theta, psi):
             return kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, theta, psi)
 
         assert series(np.array([0.0]))[0] == 0.0
-        # Past one segment, so that the blocks of more than two modes split it into chunks.
+        # Past one segment, whose end is the only place where the kernel cuts the times.
         times = np.random.default_rng(9).uniform(0.0, 1e-5, kernels._SEGMENT_TIMES + 5)
         batched = series(times)
-        # The times on both sides of every chunk end that a block of 1 to n_modes
-        # modes may have, and of the segment end.
-        ends = {kernels._CHUNK_ELEMENTS // m for m in range(1, n_modes + 1)} | {kernels._SEGMENT_TIMES}
-        picks = {0, 1, times.size - 1} | {i for end in ends for i in (end - 1, end) if end <= kernels._SEGMENT_TIMES}
+        # The times on both sides of the segment end, and at both ends of the call.
+        picks = {0, 1, kernels._SEGMENT_TIMES - 1, kernels._SEGMENT_TIMES, times.size - 1}
         for i in sorted(picks):
             assert series(times[i : i + 1])[0] == batched[i]
 
@@ -78,7 +78,7 @@ def test_kernel_leaves_its_inputs_unchanged(axis, r):
     # array, and the kernel reuses its work buffers in place.
     for n_modes in (1, 9, 30):
         _, omega, pref, weight = random_fraction(n_modes, 23)
-        times = np.random.default_rng(9).uniform(0.0, 1e-5, kernels._CHUNK_ELEMENTS // n_modes + 5)
+        times = np.random.default_rng(9).uniform(0.0, 1e-5, kernels._SEGMENT_TIMES + 5)
         inputs = (times, omega, pref, weight)
         before = [x.copy() for x in inputs]
         kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, 1.1, 0.3)
@@ -86,8 +86,25 @@ def test_kernel_leaves_its_inputs_unchanged(axis, r):
             assert x.tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5])
+def test_kernel_peak_memory_does_not_grow_with_the_mode_count(r):
+    # The work arrays hold one block of at most _BLOCK_MODES modes over one
+    # segment, so only the per-mode coefficients grow with the mode count.
+    times = np.random.default_rng(9).uniform(0.0, 1e-5, 50_000)
+    peaks = []
+    for n_modes in (10, 1000):
+        _, omega, pref, weight = random_fraction(n_modes, 23)
+        tracemalloc.start()
+        try:
+            kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, kernels.AXIS_MOMENTUM, r, 1.1, 0.3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
 def block_end_sums(series, n_modes, times, cap):
-    """The capped kernel's result from uncapped calls on the first 1, 3, 7, ... modes:
+    """The capped kernel's result from uncapped calls on the modes up to each block end:
     a time takes the running sum of the first block end where it is finite and
     >= cap, else the full sum.  Also returns which times stopped early."""
     expected = series(times, n_modes)
@@ -98,7 +115,7 @@ def block_end_sums(series, n_modes, times, cap):
         now = ~stopped & (prefix >= cap) & (prefix < np.inf)
         expected[now] = prefix[now]
         stopped |= now
-        end = 2 * end + 1
+        end += min(end + 1, kernels._BLOCK_MODES)
     return expected, stopped
 
 
