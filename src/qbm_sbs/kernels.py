@@ -41,6 +41,14 @@ with the default cap = inf no time is dropped.  The terms are >= 0 for
 weights >= 0, so a dropped time's full sum is >= cap too.
 ``exponent_bound`` bounds the sum from the per-mode gains, so that a caller
 can tell that no sum overflows before it lets the cap skip any mode.
+
+Each block runs over the live times of its segment in chunks that fill one
+fixed work tile.  The chunk ends change no bits: every element sees the same
+operations in the same order however the times are cut.  A segment holds
+several tiles of times, so its drop checks are few and each numpy call
+covers tens of thousands of elements; a pool thread then spends long
+stretches in numpy, which releases the GIL, instead of leaving the other
+thread waiting for it between short calls.
 """
 
 from __future__ import annotations
@@ -52,16 +60,22 @@ import numpy as np
 AXIS_MOMENTUM = 0
 AXIS_POSITION = 1
 
-# Widest mode block.  The work arrays hold one block over one segment, so they
-# stay at most _BLOCK_MODES x _SEGMENT_TIMES elements at any mode count: the
-# squeezed body's five take 1.9 MiB.
+# Widest mode block.
 _BLOCK_MODES = 4
-# Times per segment, which also keeps the drop state of a call (running sums,
-# positions and per-time factors) per segment.  Longer segments cost fewer numpy
-# calls per mode block but hold more memory per thread: against 3 * 2**12, a
-# sweep of 10 + 10 squeezed modes on two threads ran 31% slower at 2**13 and
-# peaked 2 MB higher at 2**14.
-_SEGMENT_TIMES = 3 * 2**12
+# Elements per work array: a block of w modes runs in chunks of
+# _TILE_ELEMENTS // w times, so at any mode count the work arrays stay this
+# size (the squeezed body's four take 1.5 MiB).
+_TILE_ELEMENTS = _BLOCK_MODES * 3 * 2**12
+# Times per segment, which keeps the drop state of a call (running sums,
+# positions and per-time factors) per segment.  A block's drop check and its
+# chunks span the live times of a segment, so a longer segment makes fewer and
+# longer numpy calls, during which the other pool thread is not left waiting
+# for the GIL, but holds more per-time memory per thread.  On a sweep of
+# 10 + 10 squeezed modes on two threads, against 3 * 2**12 the median wall
+# time fell 15% at 6 * 2**12, 19% at 9 * 2**12 and 26% at 12 * 2**12, and
+# each 3 * 2**12 more raised the peak RSS by about 1.4 MB; 12 * 2**12 also
+# leaves a 1696-time tail segment at 100k times.
+_SEGMENT_TIMES = 9 * 2**12
 
 
 def backend_name() -> str:
@@ -173,22 +187,23 @@ def _add_block(
     else:
         _, big_sin, big_half_versin, big_cos = per_time
         p_x, p_y, q_x, q_y = proj
-        x, y, spare = work[2:]
+        x, y = work[2:]
         # The lab-frame z / (2a): x = C v/2 + V/2 - (b/a) S s/2
         np.multiply(big_cos, half_versin, out=x)
         x += big_half_versin
         np.multiply(ratio, big_sin, out=y)
-        np.multiply(y, half_sin, out=spare)
-        x -= spare
-        # and y = (b/a) S (1/2 - v/2) - C s/2.
+        y *= half_sin
+        x -= y
+        # and y = (b/a) S (1/2 - v/2) - C s/2, with (b/a) S formed again
+        # rather than kept in a fifth work array.
+        np.multiply(ratio, big_sin, out=y)
         np.subtract(0.5, half_versin, out=half_versin)
         y *= half_versin
         half_sin *= big_cos
         y -= half_sin
         # c1 = e^{-r} e1 . z and c2 = e^{r} e2 . z (the gains swapped on the position axis)
         c1 = np.multiply(x, p_x, out=half_versin)
-        np.multiply(y, p_y, out=spare)
-        c1 += spare
+        c1 += np.multiply(y, p_y, out=half_sin)
         x *= q_x
         y *= q_y
         c2 = np.add(x, y, out=x)
@@ -197,6 +212,61 @@ def _add_block(
     c1 += c2
     c1 *= gain
     _add_rows(c1, acc)
+
+
+def _sum_segment(
+    seg: np.ndarray,
+    t: np.ndarray,
+    omega_big: float,
+    edges: list[int],
+    bufs: list[np.ndarray],
+    modes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    proj: tuple[float, float, float, float] | None,
+    cap: float,
+) -> None:
+    """seg += the sums at the times t over the mode blocks [edges[i], edges[i+1]),
+    each time stopping after the first block where its sum is finite and >= cap.
+
+    The per-time factors and the drop state live in this call, so that they
+    are freed before the next segment's are formed."""
+    half_omega, ratio, gain = modes
+    per_time = _time_factors(t, omega_big, proj is not None)
+    # acc holds the running sums of the times still summed, at the positions
+    # ``live`` of the segment (None while acc is the segment itself).
+    acc, live = seg, None
+    for first, stop in zip(edges, edges[1:]):
+        if first and (reached := acc >= cap).any():
+            reached &= acc < math.inf
+            if live is not None:
+                seg[live] = acc
+            keep = np.flatnonzero(~reached)
+            live = keep if live is None else live[keep]
+            acc = acc[keep]
+            # The per-time factors follow their times, one at a time, so
+            # that each old array is freed before the next is copied.
+            for i in range(len(per_time)):
+                per_time[i] = per_time[i][keep]
+            if not acc.size:
+                break
+        # The block runs in chunks of the live times that fill the work tile.
+        # No view of a chunk outlives its call, so that the next drop frees
+        # the arrays it replaces.
+        width = stop - first
+        step = _TILE_ELEMENTS // width
+        for c in range(0, acc.size, step):
+            m = min(step, acc.size - c)
+            work = [buf[: width * m].reshape(width, m) for buf in bufs]
+            _add_block(
+                acc[c : c + m],
+                work,
+                [x[c : c + m] for x in per_time],
+                half_omega[first:stop],
+                ratio[first:stop],
+                gain[first:stop],
+                proj,
+            )
+    if live is not None:
+        seg[live] = acc
 
 
 def exponent_series(
@@ -227,7 +297,7 @@ def exponent_series(
     gain, ratio = _mode_coefficients(
         omega, np.asarray(pref, dtype=float), np.asarray(weight, dtype=float), omega_big, axis
     )
-    gain, ratio, half_omega = gain[:, None], ratio[:, None], 0.5 * omega[:, None]
+    modes = (0.5 * omega[:, None], ratio[:, None], gain[:, None])
     # The squeezed body's projection coefficients (unused at r = 0):
     # |ch (e^{-i psi} z - e^{i(psi+theta)} conj(z) th)| = ch |z - e^{i phi} conj(z) th|, and
     # with z = e^{i phi/2} (p + i q), p = e1 . z and q = e2 . z, this is
@@ -247,30 +317,9 @@ def exponent_series(
     while (e := edges[-1]) < k:
         edges.append(min(k, e + min(e + 1, _BLOCK_MODES)))
     out = np.zeros(n)
-    size = min(k, _BLOCK_MODES) * min(n, _SEGMENT_TIMES)
-    bufs = [np.empty(size) for _ in range(3 if proj is None else 5)]
+    size = min(_TILE_ELEMENTS, min(k, _BLOCK_MODES) * min(n, _SEGMENT_TIMES))
+    bufs = [np.empty(size) for _ in range(3 if proj is None else 4)]
     for lo in range(0, n, _SEGMENT_TIMES):
-        seg = out[lo : lo + _SEGMENT_TIMES]
-        per_time = _time_factors(times[lo : lo + _SEGMENT_TIMES], omega_big, proj is not None)
-        # acc holds the running sums of the times still summed, at the positions
-        # ``live`` of the segment (None while acc is the segment itself).
-        acc, live = seg, None
-        for first, stop in zip(edges, edges[1:]):
-            if first and (reached := acc >= cap).any():
-                reached &= acc < math.inf
-                if live is not None:
-                    seg[live] = acc
-                keep = np.flatnonzero(~reached)
-                live = keep if live is None else live[keep]
-                acc = acc[keep]
-                # The per-time factors follow their times, one at a time, so
-                # that each old array is freed before the next is copied.
-                for i, x in enumerate(per_time):
-                    per_time[i] = x[keep]
-                if not acc.size:
-                    break
-            work = [buf[: (stop - first) * acc.size].reshape(stop - first, acc.size) for buf in bufs]
-            _add_block(acc, work, per_time, half_omega[first:stop], ratio[first:stop], gain[first:stop], proj)
-        if live is not None:
-            seg[live] = acc
+        seg = slice(lo, lo + _SEGMENT_TIMES)
+        _sum_segment(out[seg], times[seg], omega_big, edges, bufs, modes, proj, cap)
     return out

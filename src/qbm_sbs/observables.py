@@ -61,7 +61,7 @@ def _exponent_sum(
     if len(fraction) == 0:
         raise DomainError("oscillator fraction must be non-empty")
     axis = kernels.AXIS_MOMENTUM if sys.squeezing_axis is SqueezeAxis.MOMENTUM else kernels.AXIS_POSITION
-    times = np.atleast_1d(np.asarray(t, dtype=float))
+    times = np.asarray(t, dtype=float).ravel()
     r = env_state.squeeze_r
     # x_sep is squared as a numpy scalar, which overflows to inf where a Python
     # float raises.  An overflowed gain, phase or square gives inf, or
@@ -90,19 +90,20 @@ def _exponent_sum(
             0.0,  # psi: a rotation of the bath state only shifts squeeze_theta
             cap=cap,
         )
-        ex = scale * sums
-    if not np.isfinite(ex).all():
+        sums *= scale
+    if not np.isfinite(sums).all():
         raise DomainError(
             "exponent sum is not finite: a per-mode gain (x_sep, masses, coupling, "
             "temperature, squeeze_r) or a phase (t) overflowed"
         )
-    return ex
+    return sums
 
 
 def _factor(fraction: Modes, sys: SystemParams, env_state: EnvInitialState, t, kind: str):
-    """exp(-exponent sum) with the ``kind`` weight; scalar t gives a scalar."""
-    out = np.exp(-_exponent_sum(fraction, sys, env_state, t, kind, capped=True))
-    return float(out[0]) if np.ndim(t) == 0 else out
+    """exp(-exponent sum) with the ``kind`` weight, in the shape of t; scalar t gives a scalar."""
+    out = _exponent_sum(fraction, sys, env_state, t, kind, capped=True)
+    np.exp(np.negative(out, out=out), out=out)
+    return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 def decoherence_factor(fraction: Modes, sys: SystemParams, env_state: EnvInitialState, t):

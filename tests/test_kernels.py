@@ -62,13 +62,42 @@ def test_kernel_exact_at_zero_and_batch_invariant(axis, r, theta, psi):
             return kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, theta, psi)
 
         assert series(np.array([0.0]))[0] == 0.0
-        # Past one segment, whose end is the only place where the kernel cuts the times.
+        # Past one segment, whose end is the only place where every block cuts the times.
         times = np.random.default_rng(9).uniform(0.0, 1e-5, kernels._SEGMENT_TIMES + 5)
         batched = series(times)
-        # The times on both sides of the segment end, and at both ends of the call.
+        # The times on both sides of the segment end and of every chunk end
+        # that a block of 1 to _BLOCK_MODES modes has in the first segment,
+        # and at both ends of the call.
         picks = {0, 1, kernels._SEGMENT_TIMES - 1, kernels._SEGMENT_TIMES, times.size - 1}
+        for width in range(1, kernels._BLOCK_MODES + 1):
+            for end in range(0, kernels._SEGMENT_TIMES, kernels._TILE_ELEMENTS // width)[1:]:
+                picks |= {end - 1, end}
         for i in sorted(picks):
             assert series(times[i : i + 1])[0] == batched[i]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 5.0])
+@pytest.mark.parametrize("axis", [kernels.AXIS_MOMENTUM, kernels.AXIS_POSITION])
+def test_kernel_output_does_not_depend_on_the_tiling(monkeypatch, axis, r):
+    # Small segments and tiles cut every block into chunks of 12, 6, 4 or 3
+    # live times (or of 4, 2, 1 or 1), also after the cap has dropped times.
+    times = np.random.default_rng(9).uniform(0.0, 1e-5, 400)
+    times[7] = 0.0
+    for n_modes in (1, 9, 30):
+        _, omega, pref, weight = random_fraction(n_modes, 23)
+
+        def series(**kwargs):
+            return kernels.exponent_series(times, omega, pref, weight, OMEGA_BIG, axis, r, 1.1, 0.3, **kwargs)
+
+        full = series()
+        caps = (np.inf, float(np.median(full)))
+        expected = [series(cap=cap) for cap in caps]
+        for segment, tile in ((7, 12), (13, 12), (50, 4)):
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "_SEGMENT_TIMES", segment)
+                m.setattr(kernels, "_TILE_ELEMENTS", tile)
+                for cap, want in zip(caps, expected):
+                    assert np.array_equal(series(cap=cap), want)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.7])

@@ -56,6 +56,18 @@ class TestLimits:
         for i, t in enumerate(T_GRID[:5]):
             assert decoherence_factor(realization.traced, system, thermal_state, float(t)) == g_arr[i]
 
+    def test_two_dimensional_times_keep_their_shape(self, system, realization, thermal_state):
+        # Like dynamics.alpha_momentum, the per-mode reference, a factor takes t of any shape.
+        times = T_GRID[10:16]
+        for factor, fraction in (
+            (decoherence_factor, realization.traced),
+            (overlap_macrofraction, realization.macrofraction),
+        ):
+            flat = factor(fraction, system, thermal_state, times)
+            got = factor(fraction, system, thermal_state, times.reshape(2, 3))
+            assert got.shape == (2, 3)
+            assert got.tobytes() == flat.reshape(2, 3).tobytes()
+
     def test_empty_fraction_rejected(self, system, realization, thermal_state):
         with pytest.raises(DomainError):
             decoherence_factor(realization.traced[:0], system, thermal_state, 1e-9)
