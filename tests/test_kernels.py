@@ -117,8 +117,8 @@ def test_kernel_leaves_its_inputs_unchanged(axis, r):
 
 @pytest.mark.parametrize("r", [0.0, 0.5])
 def test_kernel_peak_memory_does_not_grow_with_the_mode_count(r):
-    # The work arrays hold one block of at most _BLOCK_MODES modes over one
-    # segment, so only the per-mode coefficients grow with the mode count.
+    # The work arrays hold one tile of _TILE_ELEMENTS elements at any mode
+    # count, so only the per-mode coefficients grow with the mode count.
     times = np.random.default_rng(9).uniform(0.0, 1e-5, 50_000)
     peaks = []
     for n_modes in (10, 1000):
