@@ -16,9 +16,9 @@ Exit codes: 0 success, 1 oracle validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys as _sys
-from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 
@@ -78,9 +78,17 @@ class RunConfig:
         except KeyError:
             raise AttributeError(key)
 
-    def params(self, cls):
-        """The parameter dataclass ``cls`` built from the config keys that name its fields."""
-        return cls(**{f.name: self.values[f.name] for f in fields(cls)})
+    def params(self, fn, *args):
+        """Call ``fn(*args)``, binding each further parameter to the config key of its name."""
+        names = list(inspect.signature(fn).parameters)[len(args):]
+        unknown = [name for name in names if name not in self.values]
+        if unknown:
+            raise TypeError(f"{fn.__qualname__}: parameters {unknown} name no configuration key")
+        return fn(*args, **{name: self.values[name] for name in names})
+
+    def models(self) -> tuple[EnvironmentSpec, SystemParams, EnvInitialState]:
+        """The bath spec, the system and the bath state, each built from its keys."""
+        return self.params(EnvironmentSpec), self.params(SystemParams), self.params(EnvInitialState)
 
 
 def _parse_value(key: str, raw: str):
@@ -178,33 +186,17 @@ def _write_output(out_dir: Path, name: str, config: RunConfig, command: str, tab
 
 
 def cmd_timeseries(config: RunConfig, out_dir: Path) -> int:
-    sys_params = config.params(SystemParams)
+    spec, sys_params, state = config.models()
     env_seed, _ = cell_seeds(config.seed, 0, 0)
-    realization = sample_environment(config.params(EnvironmentSpec), sys_params, env_seed)
-    series = time_series(
-        realization, sys_params, config.params(EnvInitialState), config.t_max, config.n_points
-    )
+    realization = sample_environment(spec, sys_params, env_seed)
+    series = config.params(time_series, realization, sys_params, state)
     table = {"t_seconds": series.times, "gamma_abs": series.gamma, "b_mac": series.b}
     _write_output(out_dir, "timeseries", config, "timeseries", table)
     return EXIT_OK
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path) -> int:
-    rows = temperature_sweep(
-        config.params(EnvironmentSpec),
-        config.params(SystemParams),
-        config.params(EnvInitialState),
-        temp_min=config.temp_min,
-        temp_max=config.temp_max,
-        n_temps=config.n_temps,
-        n_realizations=config.n_realizations,
-        tau=config.tau,
-        n_time_samples=config.n_time_samples,
-        master_seed=config.seed,
-        eps=config.eps,
-        eps_hi=config.eps_hi,
-        threads=config.threads,
-    )
+    rows = config.params(temperature_sweep, *config.models())
     table = _table(
         rows, "T_kelvin=temperature", "gamma_avg", "gamma_stderr", "b_avg", "b_stderr",
         "regime",
@@ -247,17 +239,7 @@ def cmd_compare_squeezing(config: RunConfig, out_dir: Path) -> int:
         raise ConfigurationError(
             "compare-squeezing always runs both axes; do not set squeezing_axis"
         )
-    cmp = position_squeezing_comparison(
-        config.params(EnvironmentSpec),
-        config.params(SystemParams),
-        config.params(EnvInitialState),
-        tau=config.tau,
-        n_time_samples=config.n_time_samples,
-        t_max=config.t_max,
-        n_points=config.n_points,
-        n_realizations=config.n_realizations,
-        master_seed=config.seed,
-    )
+    cmp = config.params(position_squeezing_comparison, *config.models())
     report = _table(
         cmp.rows, "realization=realization_index", "gamma_avg_position", "gamma_avg_momentum",
         "ratio", "revival_position", "revival_momentum",

@@ -3,10 +3,11 @@
 Both observables are products over bath modes of exponentials whose exponents
 share the same displacement amplitude; they differ only in a thermal weight,
 coth for the decoherence factor and tanh for the overlap.  The sums of log
-factors are the ground truth, and ``_exponent_sum`` always adds every mode.
-The exponentiated values underflow to zero for large baths at strong
-coupling, so the factors stop adding modes at a time once its exponent
-reaches ``UNDERFLOW``: exp(-x) is then exactly 0, as it is for the full sum.
+factors are the ground truth, and ``_exponent_sum`` adds every mode unless
+the factor path asks it for the cap.  The exponentiated values underflow to
+zero for large baths at strong coupling, so the factors stop adding modes at
+a time once its exponent reaches ``UNDERFLOW``: exp(-x) is then exactly 0, as
+it is for the full sum.
 """
 
 from __future__ import annotations

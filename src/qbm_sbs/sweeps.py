@@ -198,7 +198,7 @@ def temperature_sweep(
     n_realizations: int,
     tau: float,
     n_time_samples: int,
-    master_seed: int,
+    seed: int,
     eps: float = DEFAULT_EPS,
     eps_hi: float = DEFAULT_EPS_HI,
     threads: int = 1,
@@ -206,8 +206,8 @@ def temperature_sweep(
     """Ensemble mean and standard error of both time averages per temperature.
 
     The temperatures are ``n_temps`` log-spaced points on [temp_min, temp_max]
-    (``[temp_min]`` for one point).  Realization seeds derive from
-    ``master_seed`` and the (temperature, realization) cell index.
+    (``[temp_min]`` for one point).  Realization seeds derive from the
+    master ``seed`` and the (temperature, realization) cell index.
     ``env_state.temperature`` is overridden per grid point.
     """
     # Bounds come before any log; coinciding points (temp_min == temp_max, n_temps > 1) fail the ascent.
@@ -225,7 +225,7 @@ def temperature_sweep(
 
     def run_cell(args):
         ti, ri = args
-        env_seed, time_seed = cell_seeds(master_seed, ti, ri)
+        env_seed, time_seed = cell_seeds(seed, ti, ri)
         realization = sample_environment(spec, sys, env_seed)
         state = replace(env_state, temperature=float(temperatures[ti]))
         return time_average(realization, sys, state, tau, n_time_samples, time_seed)
@@ -261,7 +261,7 @@ def position_squeezing_comparison(
     t_max: float,
     n_points: int,
     n_realizations: int,
-    master_seed: int,
+    seed: int,
 ) -> SqueezingComparison:
     """Run both squeezing axes at identical parameters and disorder.
 
@@ -285,7 +285,7 @@ def position_squeezing_comparison(
 
     rows = []
     for ri in range(n_realizations):
-        env_seed, time_seed = cell_seeds(master_seed, 0, ri)
+        env_seed, time_seed = cell_seeds(seed, 0, ri)
         realization = sample_environment(spec, sys, env_seed)
         t = sample_times(tau, n_time_samples, time_seed)
         avgs, revivals = [], []

@@ -68,7 +68,7 @@ def run_sweep(sys, size, env_state, grid=TEMP_GRID):
         n_realizations=N_REALIZATIONS,
         tau=TAU,
         n_time_samples=N_TIME_SAMPLES,
-        master_seed=MASTER_SEED,
+        seed=MASTER_SEED,
         threads=os.cpu_count() or 1,
     )
 
@@ -191,7 +191,7 @@ def test_4_position_squeezing_revival(sys_mom):
         t_max=2.2e-8,
         n_points=2201,
         n_realizations=N_REALIZATIONS,
-        master_seed=MASTER_SEED,
+        seed=MASTER_SEED,
     )
     min_revival = min(r.revival_position for r in cmp.rows)
     min_ratio = min(r.ratio for r in cmp.rows)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbm_sbs
-from qbm_sbs import cli, oracle
+from qbm_sbs import cli, oracle, sweeps
 from qbm_sbs.cli import _SCHEMA, load_config, main
 from qbm_sbs.errors import ConfigurationError
 from qbm_sbs.model import EnvInitialState, EnvironmentSpec, SystemParams
@@ -85,6 +86,20 @@ class TestConfigLoading:
             names = [f.name for f in fields(cls)]
             assert set(names) <= set(_SCHEMA), cls
             assert cfg.params(cls) == cls(**{name: _SCHEMA[name][1] for name in names})
+        # Each driver takes its three model values first; every later parameter is a key.
+        for driver in (sweeps.time_series, sweeps.temperature_sweep, sweeps.position_squeezing_comparison):
+            names = list(inspect.signature(driver).parameters)[3:]
+            assert names and set(names) <= set(_SCHEMA), (driver.__name__, set(names) - set(_SCHEMA))
+        assert cfg.params(lambda a, seed, tau: (a, seed, tau), "x") == ("x", cfg.seed, cfg.tau)
+
+        calls = []
+
+        def unbound(seed, master_seed=0):
+            calls.append(seed)
+
+        with pytest.raises(TypeError, match="master_seed"):
+            cfg.params(unbound)
+        assert calls == []
 
     def test_file_is_read_as_utf8(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -132,19 +132,26 @@ def test_kernel_peak_memory_does_not_grow_with_the_mode_count(r):
     assert peaks[1] <= 1.05 * peaks[0]
 
 
-def block_end_sums(series, n_modes, times, cap):
-    """The capped kernel's result from uncapped calls on the modes up to each block end:
-    a time takes the running sum of the first block end where it is finite and
-    >= cap, else the full sum.  Also returns which times stopped early."""
-    expected = series(times, n_modes)
-    stopped = np.zeros(times.shape, dtype=bool)
+def block_end_prefixes(series, n_modes, times):
+    """Uncapped sums over the modes up to each block end before ``n_modes``, in order."""
+    prefixes = []
     end = 1
     while end < n_modes:
-        prefix = series(times, end)
+        prefixes.append(series(times, end))
+        end += min(end + 1, kernels._BLOCK_MODES)
+    return prefixes
+
+
+def block_end_sums(full, prefixes, cap):
+    """The capped kernel's result from the uncapped full sum and block-end prefixes:
+    a time takes the running sum of the first block end where it is finite and
+    >= cap, else the full sum.  Also returns which times stopped early."""
+    expected = full.copy()
+    stopped = np.zeros(full.shape, dtype=bool)
+    for prefix in prefixes:
         now = ~stopped & (prefix >= cap) & (prefix < np.inf)
         expected[now] = prefix[now]
         stopped |= now
-        end += min(end + 1, kernels._BLOCK_MODES)
     return expected, stopped
 
 
@@ -162,9 +169,10 @@ def test_capped_kernel_stops_at_block_ends(axis, r, theta, psi):
         times = np.random.default_rng(9).uniform(0.0, 1e-5, kernels._SEGMENT_TIMES + 100)
         times[7] = 0.0
         first = series(times, 1)
+        full, prefixes = series(times, n_modes), block_end_prefixes(series, n_modes, times)
         shares = []
         for cap in (0.0, float(np.median(first)), float(np.quantile(first, 0.99)), 1e300):
-            expected, stopped = block_end_sums(series, n_modes, times, cap)
+            expected, stopped = block_end_sums(full, prefixes, cap)
             np.testing.assert_array_equal(series(times, n_modes, cap=cap), expected)
             shares.append(stopped.mean())
         if n_modes > 1:

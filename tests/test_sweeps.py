@@ -99,7 +99,7 @@ class TestTemperatureSweep:
             n_realizations=3,
             tau=1e-5,
             n_time_samples=400,
-            master_seed=seed,
+            seed=seed,
             threads=threads,
         )
 
@@ -162,7 +162,7 @@ class TestTemperatureSweep:
         with pytest.raises(ConfigurationError, match="0 < eps < eps_hi < 1"):
             temperature_sweep(
                 make_spec(**SMALL), system, EnvInitialState(temperature=1.0), *self.GRID,
-                n_realizations=3, tau=1e-5, n_time_samples=400, master_seed=77,
+                n_realizations=3, tau=1e-5, n_time_samples=400, seed=77,
                 eps=eps, eps_hi=eps_hi,
             )
         assert calls == []
@@ -193,7 +193,7 @@ class TestTemperatureSweep:
             # The thresholds are bad too: the grid is checked first.
             with pytest.raises(ConfigurationError, match="bad temperature grid"):
                 temperature_sweep(
-                    make_spec(**SMALL), system, thermal_state, *bad, 1, 1e-5, 10, master_seed=0,
+                    make_spec(**SMALL), system, thermal_state, *bad, 1, 1e-5, 10, seed=0,
                     eps=0.5, eps_hi=0.3,
                 )
         assert calls == []
@@ -204,7 +204,7 @@ class TestTemperatureSweep:
     )
     def test_grid_is_the_log_grid(self, system, thermal_state, grid, temperatures):
         rows = temperature_sweep(
-            make_spec(**SMALL), system, thermal_state, *grid, 1, 1e-5, 10, master_seed=0
+            make_spec(**SMALL), system, thermal_state, *grid, 1, 1e-5, 10, seed=0
         )
         np.testing.assert_array_equal([r.temperature for r in rows], temperatures)
 
@@ -227,7 +227,7 @@ class TestSqueezingComparison:
             t_max=t_max,
             n_points=n_points,
             n_realizations=2,
-            master_seed=11,
+            seed=11,
         )
 
     def test_averages_match_time_average(self, system, system_position):
@@ -301,7 +301,7 @@ class TestSqueezingComparison:
                 t_max=1e-9,
                 n_points=16,
                 n_realizations=1,
-                master_seed=0,
+                seed=0,
             )
 
 
